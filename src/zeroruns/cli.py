@@ -327,6 +327,14 @@ def _verify_plain_identities(check: _Check, max_n: int) -> None:
                         rc.F_closed_high_k(n, x, k) == rc.F(n, x, k),
                         f"high-k closed form at ({n},{x},{k})",
                     )
+                if x <= n - 1:
+                    # the paper's recurrence, by the leading zero block
+                    check.expect(
+                        rc.F(n, x, k)
+                        == sum(rc.F(n - i - 1, x - i, k) for i in range(k))
+                        + sum(rc.F(n - k - 1, x - k, j) for j in range(k + 1)),
+                        f"recurrence at ({n},{x},{k})",
+                    )
         if n >= 2:
             check.expect(
                 rc.F(n, 2, 1) == (n - 1) * (n - 2) // 2, f"triangular at n={n}"

@@ -9,9 +9,10 @@ multiset classes inside one (n, x, k) word class.
 
 from __future__ import annotations
 
-from ._cache import Memo
+from functools import lru_cache
+
 from .palindromic import F_hat, support_hat_set
-from .runcount import F, support_contains, support_set
+from .runcount import F, not_ints, support_contains, support_set
 
 __all__ = [
     "compositions_by_largest_summand",
@@ -24,8 +25,6 @@ __all__ = [
     "P_hat",
     "P_hat_total",
     "p_hat_two_printed",
-    "clear_memo",
-    "set_memo_limit",
 ]
 
 _METHODS = ("formula", "fsum")
@@ -91,31 +90,36 @@ def two_count_palindromic(m: int) -> int:
     return sum(x * F_hat(m - 1, x, 1) for x in range(1, m))
 
 
-_P_memo = Memo()
-
-
 def P(n: int, x: int, k: int) -> int:
     """Partition classes of (n, x, k): distinct zero-run multisets, exactly.
 
     Equivalently: partitions of x with largest part exactly k and at most
-    n - x + 1 parts.  k in {0, 1, x-1, x} admit a single class; k = 2 counts
-    the feasible numbers of 00-blocks directly; k >= 3 strips one largest
-    part and recurses over the next largest part j.
+    n - x + 1 parts.  Stripping one part k leaves a partition of x - k into
+    at most n - x parts, each at most k: the coefficient of q^(x-k) in the
+    Gaussian binomial [n-x+k choose k]_q (Andrews, The Theory of Partitions,
+    ch. 3).  Raises ValueError on non-int arguments.
     """
+    if type(n) is not int or type(x) is not int or type(k) is not int:
+        raise not_ints(n, x, k)
+    return _classes(n, x, k)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int, x: int, k: int) -> int:
     if not support_contains(n, x, k):
         return 0
-    if k <= 1 or k >= x - 1:
-        return 1
-    if k == 2:
-        # slack i over the tightest packing; min(i+1, floor(x/2)) block pairs
-        i = n - x - (x + 1) // 2 + 1
-        return min(i + 1, x // 2)
-    got = _P_memo.get((n, x, k))
-    if got is None:
-        lo = (n - k - 1) // (n - x)
-        got = sum(P(n - k - 1, x - k, j) for j in range(lo, k + 1))
-        _P_memo.put((n, x, k), got)
-    return got
+    a, b = sorted((n - x, k))
+    # [a+b choose a]_q = prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) has
+    # symmetric coefficients up to degree ab: read the lower half, and stop
+    # at i = degree, past which the factors leave the coefficients alone.
+    degree = min(x - k, a * b - (x - k))
+    coeffs = [1] + [0] * degree
+    for i in range(1, min(a, degree) + 1):
+        for t in range(degree, b + i - 1, -1):
+            coeffs[t] -= coeffs[t - b - i]
+        for t in range(i, degree + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs[degree]
 
 
 def P_total(n: int) -> int:
@@ -156,8 +160,10 @@ def P_hat(n: int, x: int, k: int) -> int:
     2i + 1 (odd n, odd x), 2i (even n), or 0 (odd n, even x: reduces to a
     plain half-length count).  Central blocks shorter than k leave a half
     whose longest run is exactly k; a central block of length k frees the
-    half to any run length j <= k.
+    half to any run length j <= k.  Raises ValueError on non-int arguments.
     """
+    if type(n) is not int or type(x) is not int or type(k) is not int:
+        raise not_ints(n, x, k)
     if F_hat(n, x, k) == 0:
         return 0
     if k <= 1 or k == x:
@@ -211,12 +217,3 @@ def p_hat_two_printed(n: int, x: int) -> int | None:
     if i < 0:
         return None
     return i + 1 if i < bound - 1 else bound
-
-
-def clear_memo() -> None:
-    _P_memo.clear()
-
-
-def set_memo_limit(limit: int | None) -> None:
-    """Cap the number of memoised P entries (None restores unbounded)."""
-    _P_memo.set_limit(limit)

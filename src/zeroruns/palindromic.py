@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runcount import F, binomial, support_contains
+from .runcount import F, binomial, not_ints, support_contains
 
 __all__ = [
     "F_hat",
@@ -25,7 +25,10 @@ def F_hat(n: int, x: int, k: int) -> int:
     count has a central one and reduces to a plain half-length count; a
     longest block with 2k > x must sit alone at the centre (closed form);
     the remaining cases split on the leading zero block of the half word.
+    Raises ValueError on non-int arguments.
     """
+    if type(n) is not int or type(x) is not int or type(k) is not int:
+        raise not_ints(n, x, k)
     if x == 0:
         return 1 if k == 0 and n >= 0 else 0
     if not support_contains(n, x, k):

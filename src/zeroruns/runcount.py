@@ -7,9 +7,9 @@ result is an exact Python integer; no floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from ._cache import Memo
+from functools import lru_cache
 
 __all__ = [
     "binomial",
@@ -22,20 +22,25 @@ __all__ = [
     "SupportSet",
     "support_set",
     "support_size_formula",
-    "clear_memo",
-    "set_memo_limit",
 ]
 
 
+def not_ints(*values) -> ValueError:
+    """The error for arguments that are not all of type int.
+
+    The public counts check `type(v) is int` before any cache is consulted:
+    7.0 and True hash like 7 and 1, so a cached answer would otherwise
+    depend on cache state.  bool and other int subclasses fail.  The check
+    is written inline because it runs on every warm call.
+    """
+    return ValueError(f"arguments must be int, got {values!r}")
+
+
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by the multiplicative rule; 0 outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    """C(n, k); 0 outside 0 <= k <= n."""
+    if type(n) is not int or type(k) is not int:
+        raise not_ints(n, k)
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def support_contains(n: int, x: int, k: int) -> bool:
@@ -92,43 +97,43 @@ def F_closed_high_k(n: int, x: int, k: int) -> int:
     return 2 * binomial(n - k - 1, x - k) + (n - k - 1) * binomial(n - k - 2, x - k)
 
 
-_F_memo = Memo()
+@lru_cache(maxsize=None)
+def _bounded(n: int, x: int, k: int) -> int:
+    """Words of length n with x zeros whose zero-runs all have length <= k.
+
+    The zeros fill the m + 1 gaps around m = n - x ones, at most k per gap;
+    inclusion-exclusion over the gaps forced past k gives
+    sum_j (-1)^j C(m+1, j) C(n - j(k+1), m).  Each term is the previous one
+    times an exact ratio, so only the first needs a binomial.
+    """
+    m = n - x
+    if x > (m + 1) * k:
+        return 0
+    term = total = math.comb(n, m)
+    for j in range(min(m + 1, x // (k + 1))):
+        top = n - j * (k + 1)
+        term = (-term * (m + 1 - j) * math.prod(range(top - k - m, top - m + 1))
+                // ((j + 1) * math.prod(range(top - k, top + 1))))
+        total += term
+    return total
 
 
 def F(n: int, x: int, k: int) -> int:
     """Exact class count, total on all integer triples (0 on empty classes).
 
-    Dispatch: infeasible triples return 0, then the k = x diagonal and the
-    x < 2k closed form, then the recurrence
-
-        F(n,x,k) = sum_{i=0}^{k-1} F(n-i-1, x-i, k)
-                 + sum_{j=0}^{k}   F(n-k-1, x-k, j)
-
-    which classifies strings by the zero block (length i < k, or exactly k)
-    they start with.
+    F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
+    zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
+    Heads", 1990).  No recursion, so large n is as safe as small n.  The
+    paper's recurrence and closed forms are checked identities, not the
+    production path.  Raises ValueError on non-int arguments.
     """
-    if x == 0:
-        return 1 if k == 0 and n >= 0 else 0
+    if type(n) is not int or type(x) is not int or type(k) is not int:
+        raise not_ints(n, x, k)
     if not support_contains(n, x, k):
         return 0
-    # 1 <= k <= x <= n from here on
-    if k == x:
-        return n - x + 1
-    if x < 2 * k:
-        return 2 * binomial(n - k - 1, x - k) + (n - k - 1) * binomial(n - k - 2, x - k)
-    if x == n - 1:
-        # x >= 2k plus feasibility force n odd, k = (n-1)/2: only 0^k 1 0^k
+    if x == 0:
         return 1
-    got = _F_memo.get((n, x, k))
-    if got is not None:
-        return got
-    acc = 0
-    for i in range(k):
-        acc += F(n - i - 1, x - i, k)
-    for j in range(k + 1):
-        acc += F(n - k - 1, x - k, j)
-    _F_memo.put((n, x, k), acc)
-    return acc
+    return _bounded(n, x, k) - _bounded(n, x, k - 1)
 
 
 @dataclass(frozen=True)
@@ -159,12 +164,3 @@ def support_set(n: int) -> SupportSet:
 def support_size_formula(n: int) -> int:
     """|support_set(n)| in closed form: C(n+2, 2) - sum floor(n / (i+1))."""
     return binomial(n + 2, 2) - sum(n // (i + 1) for i in range(n + 1))
-
-
-def clear_memo() -> None:
-    _F_memo.clear()
-
-
-def set_memo_limit(limit: int | None) -> None:
-    """Cap the number of memoised F entries (None restores unbounded)."""
-    _F_memo.set_limit(limit)

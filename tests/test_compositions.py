@@ -2,7 +2,7 @@ import pytest
 
 from zeroruns import compositions as comp, oracle
 from zeroruns.palindromic import F_hat
-from zeroruns.runcount import F, support_set
+from zeroruns.runcount import F, support_contains, support_set
 
 
 def enumerate_compositions(m, palindromic=False):
@@ -84,6 +84,23 @@ def test_P_golden_values():
     for n in range(1, 12):
         for x in range(1, n + 1):
             assert (comp.P(n, x, 1) == 1) == (F(n, x, 1) > 0)
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_P_two_blocks_rule(n):
+    # k = 2: one class per feasible number of 00-blocks
+    for x in range(4, n + 1):
+        if support_contains(n, x, 2):
+            assert comp.P(n, x, 2) == min(n - x - (x + 1) // 2 + 2, x // 2), (n, x)
+
+
+def test_P_does_not_depend_on_warm_state_or_call_order():
+    table = oracle.oracle_partition_table(12)
+    triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
+    want = [table.get((x, k), 0) for _, x, k in triples]
+    comp._classes.cache_clear()
+    assert [comp.P(*t) for t in reversed(triples)] == want[::-1]
+    assert [comp.P(*t) for t in triples] == want
 
 
 @pytest.mark.parametrize("n", range(0, 15))

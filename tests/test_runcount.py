@@ -137,12 +137,23 @@ def test_global_identities(n):
         assert sum(rc.F(n, x, k) for k in range(x + 1)) == rc.binomial(n, x)
 
 
-def test_memo_limit_does_not_change_results():
-    rc.clear_memo()
-    rc.set_memo_limit(4)
-    try:
-        assert rc.F(12, 6, 2) == oracle.oracle_count(12).count(6, 2)
-    finally:
-        rc.set_memo_limit(None)
-        rc.clear_memo()
-    assert rc.F(12, 6, 2) == oracle.oracle_count(12).count(6, 2)
+def test_results_do_not_depend_on_warm_state_or_call_order():
+    table = oracle.oracle_count(12)
+    triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
+    want = [table.count(x, k) for _, x, k in triples]
+    rc._bounded.cache_clear()
+    assert [rc.F(*t) for t in triples] == want
+    rc._bounded.cache_clear()
+    assert [rc.F(*t) for t in reversed(triples)] == want[::-1]
+    assert [rc.F(*t) for t in triples] == want
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_paper_recurrence(n):
+    # classify by the leading zero block: shorter than k, or exactly k
+    for x in range(1, n):
+        for k in range(1, x + 1):
+            assert rc.F(n, x, k) == (
+                sum(rc.F(n - i - 1, x - i, k) for i in range(k))
+                + sum(rc.F(n - k - 1, x - k, j) for j in range(k + 1))
+            ), (n, x, k)
