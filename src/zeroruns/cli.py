@@ -778,6 +778,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, oracle.EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in the library: one line, no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

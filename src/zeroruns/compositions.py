@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .palindromic import F_hat, support_hat_set
-from .runcount import F, not_ints, support_contains, support_set
+from .runcount import F, feasible, not_ints, require_ints, support_set
 
 __all__ = [
     "compositions_by_largest_summand",
@@ -106,7 +106,7 @@ def P(n: int, x: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _classes(n: int, x: int, k: int) -> int:
-    if not support_contains(n, x, k):
+    if not feasible(n, x, k):
         return 0
     a, b = sorted((n - x, k))
     # [a+b choose a]_q = prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) has
@@ -124,6 +124,7 @@ def _classes(n: int, x: int, k: int) -> int:
 
 def P_total(n: int) -> int:
     """Sum of P over the support of n: the number of partitions of n + 1."""
+    require_ints(n)
     return sum(P(n, x, k) for (x, k) in support_set(n).pairs)
 
 
@@ -185,6 +186,7 @@ def P_hat(n: int, x: int, k: int) -> int:
 
 def P_hat_total(n: int) -> int:
     """Sum of P_hat over the palindromic support of n."""
+    require_ints(n)
     return sum(P_hat(n, x, k) for (x, k) in support_hat_set(n).pairs)
 
 

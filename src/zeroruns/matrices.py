@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .palindromic import F_hat
-from .runcount import F
+from .runcount import F, require_ints
 
 __all__ = [
     "CountMatrix",
@@ -37,6 +37,7 @@ class CountMatrix:
 
 def build_matrix(n: int, kind: str = "plain") -> CountMatrix:
     """Matrix of F (or F_hat) values over 0 <= x, k <= n."""
+    require_ints(n)
     if n < 0:
         raise ValueError("matrix order parameter must be >= 0")
     if kind not in _KINDS:

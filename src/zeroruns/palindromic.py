@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runcount import F, binomial, not_ints, support_contains
+from .runcount import F, binomial, feasible, not_ints, require_ints
 
 __all__ = [
     "F_hat",
@@ -31,7 +31,7 @@ def F_hat(n: int, x: int, k: int) -> int:
         raise not_ints(n, x, k)
     if x == 0:
         return 1 if k == 0 and n >= 0 else 0
-    if not support_contains(n, x, k):
+    if not feasible(n, x, k):
         return 0
     if x == n:
         return 1 if k == n else 0
@@ -96,6 +96,7 @@ class HatSupportSet:
 
 def support_hat_set(n: int) -> HatSupportSet:
     """Built by testing F_hat > 0 over 0 <= k <= x <= n (positivity by value)."""
+    require_ints(n)
     pairs: set[tuple[int, int]] = set()
     if n >= 0:
         pairs = {

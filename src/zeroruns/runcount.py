@@ -36,6 +36,17 @@ def not_ints(*values) -> ValueError:
     return ValueError(f"arguments must be int, got {values!r}")
 
 
+def require_ints(*values) -> None:
+    """Raise not_ints(*values) unless every value has type int.
+
+    For the public functions off the warm path (build_matrix, the support
+    sets, the totals and the sequences), where one more call per answer is
+    not measurable; the counts check inline.
+    """
+    if any(type(v) is not int for v in values):
+        raise not_ints(*values)
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k); 0 outside 0 <= k <= n."""
     if type(n) is not int or type(k) is not int:
@@ -45,6 +56,15 @@ def binomial(n: int, k: int) -> int:
 
 def support_contains(n: int, x: int, k: int) -> bool:
     """True iff the class (n, x, k) is nonempty, i.e. F(n, x, k) > 0.
+
+    Raises ValueError on non-int arguments.
+    """
+    require_ints(n, x, k)
+    return feasible(n, x, k)
+
+
+def feasible(n: int, x: int, k: int) -> bool:
+    """support_contains without the argument check, for the counts' own use.
 
     x zeros in blocks of length <= k need at least ceil(x/k) blocks and a
     separating one between consecutive blocks, so the least feasible length
@@ -61,6 +81,7 @@ def support_contains(n: int, x: int, k: int) -> bool:
 
 def min_k(n: int, x: int) -> int:
     """Least k with F(n, x, k) > 0, equal to floor(n / (n - x + 1))."""
+    require_ints(n, x)
     if not 1 <= x <= n:
         raise ValueError(f"min_k needs 1 <= x <= n, got x={x}, n={n}")
     return n // (n - x + 1)
@@ -102,19 +123,26 @@ def _bounded(n: int, x: int, k: int) -> int:
     """Words of length n with x zeros whose zero-runs all have length <= k.
 
     The zeros fill the m + 1 gaps around m = n - x ones, at most k per gap;
-    inclusion-exclusion over the gaps forced past k gives
-    sum_j (-1)^j C(m+1, j) C(n - j(k+1), m).  Each term is the previous one
-    times an exact ratio, so only the first needs a binomial.
+    inclusion-exclusion over the j gaps forced past k gives
+    sum_j (-1)^j C(m+1, j) C(m + u_j, m) with u_j = x - j(k+1).  The sum is
+    built upward from its last term, where u <= k makes C(m + u, u) cheap;
+    each term is the one after it times an exact ratio of falling factorials.
+    The j = 0 term C(n, x) is _bounded(n, x, x), cached once for the whole
+    row over k.
     """
     m = n - x
+    if k >= x:
+        return math.comb(n, x)
     if x > (m + 1) * k:
         return 0
-    term = total = math.comb(n, m)
-    for j in range(min(m + 1, x // (k + 1))):
-        top = n - j * (k + 1)
-        term = (-term * (m + 1 - j) * math.prod(range(top - k - m, top - m + 1))
-                // ((j + 1) * math.prod(range(top - k, top + 1))))
+    j, u = divmod(x, k + 1)
+    term = (-1) ** j * math.comb(m + 1, j) * math.comb(m + u, u)
+    total = _bounded(n, x, x) + term
+    for j in range(j, 1, -1):
+        term = (-term * j * math.perm(m + u + k + 1, k + 1)
+                // ((m + 2 - j) * math.perm(u + k + 1, k + 1)))
         total += term
+        u += k + 1
     return total
 
 
@@ -129,7 +157,7 @@ def F(n: int, x: int, k: int) -> int:
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    if not support_contains(n, x, k):
+    if not feasible(n, x, k):
         return 0
     if x == 0:
         return 1
@@ -152,6 +180,7 @@ class SupportSet:
 
 def support_set(n: int) -> SupportSet:
     """Sweep the support: for each x, k runs from min_k(n, x) up to x."""
+    require_ints(n)
     pairs: set[tuple[int, int]] = set()
     if n >= 0:
         pairs.add((0, 0))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .palindromic import F_hat
-from .runcount import F
+from .runcount import F, require_ints
 
 __all__ = [
     "fib_f",
@@ -51,6 +51,7 @@ def T(r: int, n: int, method: str = "recurrence") -> int:
     2^r - 1 (default), or the identity 1 + sum F(n, x, k) over 1 <= k <= r-1
     which counts by longest zero-run of the complement; the two must agree.
     """
+    require_ints(r, n)
     if r < 2:
         raise ValueError("T is defined for r >= 2")
     if n < 1:
@@ -69,6 +70,7 @@ def O(r: int, n: int, method: str = "recurrence") -> int:
     O(r,s) = s*2^(s-1) for s <= r; the identity path sums the per-class one
     totals (n - x) F(n, x, k) over 0 <= k <= r-1.
     """
+    require_ints(r, n)
     if r < 2:
         raise ValueError("O is defined for r >= 2")
     if n < 1:

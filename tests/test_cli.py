@@ -208,3 +208,14 @@ def test_env_cap_and_flag_override(capsys, monkeypatch):
     assert code == 0
     monkeypatch.setenv(cli.ENV_ORACLE_CAP, "junk")
     assert run(capsys, "verify", "--max-n", "4")[0] == 2
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_count", broken)
+    code, out, err = run(capsys, "count", "F", "6", "3", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError('boom\\nsecond line')\n"

@@ -1,10 +1,17 @@
 """Non-int arguments are rejected before any cache is consulted."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from zeroruns import compositions as comp, palindromic as pal, runcount as rc
+from zeroruns import (
+    compositions as comp,
+    matrices as mat,
+    palindromic as pal,
+    runcount as rc,
+    sequences as seq,
+)
 
 GOOD = [
     (rc.F, (7, 3, 1)),
@@ -12,6 +19,15 @@ GOOD = [
     (comp.P, (10, 7, 3)),
     (comp.P_hat, (15, 9, 3)),
     (rc.binomial, (5, 1)),
+    (rc.min_k, (5, 2)),
+    (rc.support_contains, (5, 2, 1)),
+    (rc.support_set, (5,)),
+    (pal.support_hat_set, (5,)),
+    (mat.build_matrix, (4,)),
+    (seq.T, (2, 5)),
+    (seq.O, (2, 5)),
+    (comp.P_total, (6,)),
+    (comp.P_hat_total, (6,)),
 ]
 
 
@@ -36,13 +52,14 @@ def clear_caches():
 @pytest.mark.parametrize("func, good, bad", bad_calls())
 def test_rejected_cold(func, good, bad):
     clear_caches()
-    with pytest.raises(ValueError):
+    # the message names the caller's own arguments, not an inner call's
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
         func(*bad)
 
 
 @pytest.mark.parametrize("func, good, bad", bad_calls())
 def test_rejected_warm(func, good, bad):
     func(*good)  # the equal-hashing int key is now cached
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
         func(*bad)
 

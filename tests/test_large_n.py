@@ -1,4 +1,5 @@
-"""Large-n inputs that once exhausted the recursion limit.
+"""Large-n inputs that once exhausted the recursion limit, and the kernel
+behind F checked against sums written out here.
 
 Each expected value is computed here from first principles and shares no
 code with the inclusion-exclusion or Gaussian-binomial engines.
@@ -31,6 +32,55 @@ def gaps_at_most_3(gaps, zeros):
         math.comb(gaps, i) * math.comb(gaps, (zeros - i) // 2)
         for i in range(zeros % 2, zeros + 1, 2)
     )
+
+
+def bounded_direct(n, x, k):
+    """Words of length n with x zeros and every zero-run <= k: the
+    inclusion-exclusion sum with one math.comb per term."""
+    m = n - x
+    return sum(
+        (-1) ** j * math.comb(m + 1, j) * math.comb(n - j * (k + 1), m)
+        for j in range(m + 2)
+        if n - j * (k + 1) >= m
+    )
+
+
+def row_by_binomial_column(n, x):
+    """F(n, x, k) for k = 0..x from one column C(m+t, m), t = 0..x, and
+    one row C(m+1, j): every A_k is a signed dot product of the two."""
+    m = n - x
+    column = [1]
+    for t in range(x):
+        column.append(column[-1] * (m + t + 1) // (t + 1))
+    row = [1]
+    for j in range(m + 1):
+        row.append(row[-1] * (m + 1 - j) // (j + 1))
+    bounded = [
+        sum((-1) ** j * row[j] * column[x - j * (k + 1)]
+            for j in range(min(m + 1, x // (k + 1)) + 1))
+        for k in range(x + 1)
+    ]
+    return [bounded[0]] + [bounded[k] - bounded[k - 1] for k in range(1, x + 1)]
+
+
+def test_bounded_against_direct_sum():
+    rc._bounded.cache_clear()
+    for n in range(61):
+        for x in range(n + 1):
+            # includes k > x, and the empty sums where x > (n - x + 1) k
+            for k in range(n + 2):
+                assert rc._bounded(n, x, k) == bounded_direct(n, x, k), (n, x, k)
+
+
+def test_half_length_row_cold_in_both_orders():
+    n, x = 2992, 1495
+    expected = row_by_binomial_column(n, x)
+    assert sum(expected) == math.comb(n, x)
+    assert expected[x] == n - x + 1
+    for order in (range(x + 1), range(x, -1, -1)):
+        rc._bounded.cache_clear()
+        row = {k: rc.F(n, x, k) for k in order}
+        assert [row[k] for k in range(x + 1)] == expected
 
 
 # words of length 3000 with 1500 zeros and longest zero-run exactly 3
