@@ -46,7 +46,6 @@ from .oracle import (
 from .palindromic import (
     F_hat,
     F_hat_high_k,
-    HatSupportSet,
     lemma_positivity_hat,
     support_hat_set,
     support_hat_size_formula,
@@ -80,7 +79,6 @@ __all__ = [
     "SupportSet",
     "support_set",
     "support_size_formula",
-    "HatSupportSet",
     "support_hat_set",
     "support_hat_size_formula",
     "lemma_positivity_hat",

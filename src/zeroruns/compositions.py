@@ -33,6 +33,7 @@ _METHODS = ("formula", "fsum")
 def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[int, ...]:
     """counts[s-1] = number of (palindromic) compositions of m with largest
     summand exactly s, i.e. column sum s - 1 of the order-(m-1) count matrix."""
+    require_ints(m)
     if m < 1:
         raise ValueError("compositions are defined for m >= 1")
     count = F_hat if palindromic else F
@@ -50,6 +51,7 @@ def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula")
     (m-1) 2^(m/2-1) for even m; the fsum path evaluates sum x*F(m-1, x, k)
     instead and must agree.
     """
+    require_ints(m)
     if m < 2:
         raise ValueError("plus_signs_total is defined for m >= 2")
     if method == "formula":
@@ -68,6 +70,7 @@ def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula")
 def summands_total(m: int, palindromic: bool = False, method: str = "formula") -> int:
     """Total summand count over all (palindromic) compositions of m >= 2:
     one more than the '+' signs per composition."""
+    require_ints(m)
     if m < 2:
         raise ValueError("summands_total is defined for m >= 2")
     if method == "formula":
@@ -85,6 +88,7 @@ def summands_total(m: int, palindromic: bool = False, method: str = "formula") -
 def two_count_palindromic(m: int) -> int:
     """Total number of 2-summands over palindromic {1,2}-compositions of m,
     as the weighted column sum  sum_x x * F_hat(m-1, x, 1)."""
+    require_ints(m)
     if m < 2:
         raise ValueError("two_count_palindromic is defined for m >= 2")
     return sum(x * F_hat(m - 1, x, 1) for x in range(1, m))
@@ -134,6 +138,7 @@ def partition_function(m: int) -> int:
     Deliberately shares no code with P: it is the independent cross-check
     for P_total(m - 1).
     """
+    require_ints(m)
     if m < 0:
         return 0
     p = [1] + [0] * m
@@ -197,6 +202,7 @@ def p_hat_two_printed(n: int, x: int) -> int | None:
     slack i).  These rules are claims under test: P_hat stays authoritative,
     and the verification suite reports every disagreement.
     """
+    require_ints(n, x)
     if n % 2:
         m = (n - 1) // 2
         if x % 2 == 0:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .runcount import F, binomial, feasible, not_ints, require_ints
+from .runcount import F, SupportSet, binomial, feasible, not_ints, require_ints
 
 __all__ = [
     "F_hat",
     "F_hat_high_k",
     "lemma_positivity_hat",
-    "HatSupportSet",
     "support_hat_set",
     "support_hat_size_formula",
     "support_hat_report",
@@ -60,6 +57,7 @@ def F_hat_high_k(n: int, x: int, k: int) -> int:
     share one parity.  Outside this window the closed form does not apply and
     the triple is rejected.
     """
+    require_ints(n, x, k)
     if not (n >= 3 and 1 <= x <= n - 2 and x // 2 < k <= x):
         raise ValueError(f"closed form window excludes (n={n}, x={x}, k={k})")
     if not (x % 2 == n % 2 == k % 2):
@@ -74,27 +72,14 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     it requires x + q - 1 <= n when k | x and x + q <= n otherwise, which
     accepts e.g. (4, 1, 1) although no length-4 palindrome has a single zero.
     """
+    require_ints(n, x, k)
     if n < 1 or x < 1 or k < 1:
         raise ValueError("lemma_positivity_hat needs n, x, k >= 1")
     q = x // k
     return x + q - 1 <= n if x % k == 0 else x + q <= n
 
 
-@dataclass(frozen=True)
-class HatSupportSet:
-    """All (x, k) pairs with F_hat(n, x, k) > 0 for one fixed n."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def support_hat_set(n: int) -> HatSupportSet:
+def support_hat_set(n: int) -> SupportSet:
     """Built by testing F_hat > 0 over 0 <= k <= x <= n (positivity by value)."""
     require_ints(n)
     pairs: set[tuple[int, int]] = set()
@@ -105,7 +90,7 @@ def support_hat_set(n: int) -> HatSupportSet:
             for k in range(x + 1)
             if F_hat(n, x, k) > 0
         }
-    return HatSupportSet(n, frozenset(pairs))
+    return SupportSet(n, frozenset(pairs))
 
 
 def support_hat_size_formula(n: int) -> int:
@@ -114,6 +99,7 @@ def support_hat_size_formula(n: int) -> int:
     These are claims under test: support_hat_set stays authoritative, and
     support_hat_report exposes both values for comparison.
     """
+    require_ints(n)
     if n < 2:
         raise ValueError("the printed size formulas start at n = 2")
     if n % 2 == 0:

@@ -40,8 +40,8 @@ def require_ints(*values) -> None:
     """Raise not_ints(*values) unless every value has type int.
 
     For the public functions off the warm path (build_matrix, the support
-    sets, the totals and the sequences), where one more call per answer is
-    not measurable; the counts check inline.
+    sets, the totals, the sequences and the closed-form helpers), where one
+    more call per answer is not measurable; the counts check inline.
     """
     if any(type(v) is not int for v in values):
         raise not_ints(*values)
@@ -89,6 +89,7 @@ def min_k(n: int, x: int) -> int:
 
 def F_diagonal(n: int, x: int) -> int:
     """F(n, x, x) = n - x + 1: the x zeros form a single block."""
+    require_ints(n, x)
     if not 1 <= x <= n:
         raise ValueError(f"F_diagonal needs 1 <= x <= n, got x={x}, n={n}")
     return n - x + 1
@@ -99,6 +100,7 @@ def F_near_diagonal(n: int, x: int) -> int:
 
     The x = 2 case is triangular instead: F(n, 2, 1) = (n-1)(n-2)/2.
     """
+    require_ints(n, x)
     if x < 3 or n < 3:
         raise ValueError(f"F_near_diagonal needs x >= 3 and n >= 3, got x={x}, n={n}")
     return (n - x) * (n - x + 1)
@@ -111,6 +113,7 @@ def F_closed_high_k(n: int, x: int, k: int) -> int:
     boundary configuration it misses, x = n - 1 with n odd and k = (n-1)/2,
     is the lone string 0^k 1 0^k and returns 1.
     """
+    require_ints(n, x, k)
     if n % 2 == 1 and x == n - 1 and k == (n - 1) // 2 and k >= 1:
         return 1
     if not (1 <= k <= x < 2 * k and x <= n - 1 and support_contains(n, x, k)):
@@ -166,7 +169,8 @@ def F(n: int, x: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """All (x, k) pairs with F(n, x, k) > 0 for one fixed n."""
+    """All (x, k) pairs with a nonzero count for one fixed n: F(n, x, k) > 0
+    from support_set, F_hat(n, x, k) > 0 from palindromic.support_hat_set."""
 
     n: int
     pairs: frozenset[tuple[int, int]]
@@ -192,4 +196,5 @@ def support_set(n: int) -> SupportSet:
 
 def support_size_formula(n: int) -> int:
     """|support_set(n)| in closed form: C(n+2, 2) - sum floor(n / (i+1))."""
+    require_ints(n)
     return binomial(n + 2, 2) - sum(n // (i + 1) for i in range(n + 1))

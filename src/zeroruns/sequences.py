@@ -24,6 +24,7 @@ _METHODS = ("recurrence", "identity")
 
 def fib_f(n: int) -> int:
     """Shifted Fibonacci numbers: f(1) = 2, f(2) = 3, f(n) = f(n-1) + f(n-2)."""
+    require_ints(n)
     if n < 1:
         raise ValueError("fib_f is defined for n >= 1")
     a, b = 1, 2  # f(0), f(1)
@@ -92,6 +93,7 @@ def O(r: int, n: int, method: str = "recurrence") -> int:
 
 def ones_total(n: int, x: int, k: int) -> int:
     """Total ones over the class (n, x, k): (n - x) * F(n, x, k)."""
+    require_ints(n, x, k)
     if not 0 <= k <= x <= n:
         raise ValueError(f"ones_total needs 0 <= k <= x <= n, got ({n}, {x}, {k})")
     return (n - x) * F(n, x, k)
@@ -99,11 +101,13 @@ def ones_total(n: int, x: int, k: int) -> int:
 
 def column_sum(n: int, k: int) -> int:
     """Sum of F(n, x, k) over x: column k of the order-n count matrix."""
+    require_ints(n, k)
     return sum(F(n, x, k) for x in range(k, n + 1))
 
 
 def palindromic_column_sum(n: int, k: int) -> int:
     """Sum of F_hat(n, x, k) over x."""
+    require_ints(n, k)
     return sum(F_hat(n, x, k) for x in range(k, n + 1))
 
 

@@ -1,8 +1,16 @@
 import json
+import pathlib
 
 import pytest
 
+import zeroruns
 from zeroruns import cli
+
+# stdout and exit status of every subcommand and flag in every format,
+# recorded before the front end was refactored; see test_golden_outputs.
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).with_name("cli_golden.json")).read_text()
+)
 
 COUNT_JSON = (
     '{"command":"count","params":{"family":"F","k":2,"n":6,"x":3},'
@@ -219,3 +227,30 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["commands"]))
+def test_golden_outputs(capsys, command):
+    want = GOLDEN["commands"][command]
+    code, out, _ = run(capsys, *command.split())
+    assert (code, out) == (want["exit"], want["stdout"])
+
+
+def test_verify_all_golden(capsys):
+    want = GOLDEN["verify_all_10"]
+    code, out, _ = run(capsys, "verify", "--max-n", "10", "--suite", "all")
+    assert (code, out) == (want["exit"], want["stdout"])
+
+
+def test_oracle_cap_belongs_to_verify_only(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "junk")
+    code, out, _ = run(capsys, "count", "F", "6", "3", "2")
+    assert code == 0 and out == "12\n"
+    monkeypatch.delenv(cli.ENV_ORACLE_CAP)
+    assert run(capsys, "count", "F", "6", "3", "2", "--oracle-cap", "4")[0] == 2
+
+
+def test_support_hat_set_is_a_support_set():
+    support = zeroruns.support_hat_set(5)
+    assert type(support) is zeroruns.SupportSet
+    assert support.n == 5 and (3, 1) in support

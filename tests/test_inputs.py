@@ -28,6 +28,23 @@ GOOD = [
     (seq.O, (2, 5)),
     (comp.P_total, (6,)),
     (comp.P_hat_total, (6,)),
+    (rc.F_diagonal, (5, 2)),
+    (rc.F_near_diagonal, (5, 3)),
+    (rc.F_closed_high_k, (7, 3, 2)),
+    (rc.support_size_formula, (5,)),
+    (pal.F_hat_high_k, (7, 3, 2)),
+    (pal.lemma_positivity_hat, (5, 2, 1)),
+    (pal.support_hat_size_formula, (5,)),
+    (seq.fib_f, (3,)),
+    (seq.ones_total, (5, 2, 1)),
+    (seq.column_sum, (5, 1)),
+    (seq.palindromic_column_sum, (5, 1)),
+    (comp.compositions_by_largest_summand, (5,)),
+    (comp.plus_signs_total, (5,)),
+    (comp.summands_total, (5,)),
+    (comp.two_count_palindromic, (5,)),
+    (comp.partition_function, (5,)),
+    (comp.p_hat_two_printed, (9, 4)),
 ]
 
 
