@@ -44,8 +44,21 @@ def _check_word(word: str) -> None:
         raise ValueError(f"not a binary word: {word!r}")
 
 
+def _require_ints(*values) -> None:
+    """Raise ValueError unless every value has type int (bool fails too).
+
+    The oracle's own check, so that it imports nothing from the modules it
+    is meant to verify.
+    """
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"arguments must be int, got {values!r}")
+
+
 def check_cap(n: int, palindromic: bool = False, cap: int | None = None) -> None:
     """Reject lengths beyond the enumeration cap (argument or module default)."""
+    _require_ints(n)
+    if cap is not None:
+        _require_ints(cap)
     if n < 0:
         raise ValueError("word length must be >= 0")
     limit = cap if cap is not None else (
@@ -112,6 +125,7 @@ def oracle_count(n: int, palindromic: bool = False, cap: int | None = None) -> C
 
 def oracle_T(r: int, n: int, cap: int | None = None) -> int:
     """Number of length-n words with no r consecutive ones, by enumeration."""
+    _require_ints(r, n)
     if r < 2:
         raise ValueError("run bound r must be >= 2")
     check_cap(n, False, cap)
@@ -121,6 +135,7 @@ def oracle_T(r: int, n: int, cap: int | None = None) -> int:
 
 def oracle_zero_total(r: int, n: int, cap: int | None = None) -> int:
     """Total zeros over all length-n words with no r consecutive ones."""
+    _require_ints(r, n)
     if r < 2:
         raise ValueError("run bound r must be >= 2")
     check_cap(n, False, cap)
@@ -132,6 +147,7 @@ def oracle_partition_classes(
     n: int, x: int, k: int, palindromic: bool = False, cap: int | None = None
 ) -> int:
     """Distinct zero-run multisets over one class; 0 when the class is empty."""
+    _require_ints(n, x, k)
     check_cap(n, palindromic, cap)
     words = iter_palindromes(n) if palindromic else iter_words(n)
     seen = {zero_run_multiset(w) for w in words if classify(w) == (x, k)}

@@ -33,24 +33,62 @@ def fib_f(n: int) -> int:
     return b
 
 
-def _t_values(r: int, n: int) -> list[int]:
-    """T(r, s) for s = 0..n: counts of words avoiding r consecutive ones."""
-    vals = [1] * (n + 1)
-    for s in range(1, min(r, n + 1)):
-        vals[s] = 2**s
-    if n >= r:
-        vals[r] = 2**r - 1
-    for m in range(r + 1, n + 1):
-        vals[m] = sum(vals[m - i] for i in range(1, r + 1))
-    return vals
+def _nth_term(poly: list[int], init: list[int], n: int) -> int:
+    """Term n >= len(init) of a sequence annihilated by the monic poly.
+
+    poly lists the coefficients from x^0 up to its leading 1, so that
+    sum_i poly[i] * a_(m+i) == 0 for every m >= 0, and init holds a_0..a_(d-1)
+    for d = deg poly.  Short of about d * log2(n) steps past init, the
+    recurrence is stepped with a window of d terms.  Otherwise the answer is
+    the dot product of init with x^n mod poly, found by square-and-multiply
+    (Fiduccia, SIAM J. Comput. 14, 1985): about d^2 log2(n) products of
+    numbers of at most n bits.  Either way O(d) numbers are held at a time.
+    """
+    d = len(poly) - 1
+    if n - d <= d * n.bit_length():
+        window = init
+        for _ in range(n - d + 1):
+            window = window[1:] + [-sum(c * a for c, a in zip(poly, window))]
+        return window[-1]
+    rem = [1] + [0] * (d - 1)
+    for bit in bin(n)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, a in enumerate(rem):
+            sq[2 * i] += a * a
+            a2 = a << 1
+            for j in range(i + 1, d):
+                sq[i + j] += a2 * rem[j]
+        if bit == "1":
+            sq.insert(0, 0)
+        for i in range(len(sq) - 1, d - 1, -1):
+            top = sq[i]
+            for j in range(d):
+                sq[i - d + j] -= top * poly[j]
+        rem = sq[:d]
+    return sum(c * a for c, a in zip(rem, init))
+
+
+def _o_head(r: int, count: int) -> list[int]:
+    """O(r, s) for s < count by the short recurrence, with O(r, 0) = 0."""
+    t, o = [1], [0]  # T(r, 0) = 1
+    for m in range(1, count):
+        t.append(1 << m if m < r else sum(t[-r:]))
+        o.append(m << (m - 1) if m <= r else sum(o[-r:]) + t[m])
+    return o
+
+
+def _run_poly(r: int) -> list[int]:
+    """c(x) = x^r - x^(r-1) - ... - 1, which annihilates T(r, s) from s = 0."""
+    return [-1] * r + [1]
 
 
 def T(r: int, n: int, method: str = "recurrence") -> int:
     """Number of length-n words with no r consecutive ones (r >= 2).
 
-    Two paths: the r-step linear recurrence with initial values 2^s and
-    2^r - 1 (default), or the identity 1 + sum F(n, x, k) over 1 <= k <= r-1
-    which counts by longest zero-run of the complement; the two must agree.
+    Two paths: the r-step linear recurrence T(r, s) = sum T(r, s - i) over
+    1 <= i <= r with T(r, s) = 2^s for s < r (default; see _nth_term), or the
+    identity 1 + sum F(n, x, k) over 1 <= k <= r-1 which counts by longest
+    zero-run of the complement; the two must agree.
     """
     require_ints(r, n)
     if r < 2:
@@ -58,7 +96,9 @@ def T(r: int, n: int, method: str = "recurrence") -> int:
     if n < 1:
         raise ValueError("T is defined for n >= 1")
     if method == "recurrence":
-        return _t_values(r, n)[n]
+        if n < r:
+            return 1 << n
+        return _nth_term(_run_poly(r), [1 << s for s in range(r)], n)
     if method == "identity":
         return 1 + sum(F(n, x, k) for k in range(1, r) for x in range(k, n + 1))
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -68,8 +108,10 @@ def O(r: int, n: int, method: str = "recurrence") -> int:
     """Total zeros over all length-n words with no r consecutive ones.
 
     Default path is the recurrence O(r,n) = sum O(r,n-i) + T(r,n) with
-    O(r,s) = s*2^(s-1) for s <= r; the identity path sums the per-class one
-    totals (n - x) F(n, x, k) over 0 <= k <= r-1.
+    O(r,s) = s*2^(s-1) for s <= r.  Its first 2r terms are stepped directly;
+    beyond them c(x)^2 annihilates O, because c(E) O(r, .) is T(r, . + r),
+    which c(E) annihilates (see _nth_term).  The identity path sums the
+    per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1.
     """
     require_ints(r, n)
     if r < 2:
@@ -77,13 +119,13 @@ def O(r: int, n: int, method: str = "recurrence") -> int:
     if n < 1:
         raise ValueError("O is defined for n >= 1")
     if method == "recurrence":
-        tvals = _t_values(r, n)
-        vals = [0] * (n + 1)
-        for s in range(1, min(r, n) + 1):
-            vals[s] = s * 2 ** (s - 1)
-        for m in range(r + 1, n + 1):
-            vals[m] = sum(vals[m - i] for i in range(1, r + 1)) + tvals[m]
-        return vals[n]
+        head = _o_head(r, min(n + 1, 2 * r))
+        if n < 2 * r:
+            return head[n]
+        c = _run_poly(r)
+        square = [sum(c[j] * c[i - j] for j in range(max(0, i - r), min(i, r) + 1))
+                  for i in range(2 * r + 1)]
+        return _nth_term(square, head, n)
     if method == "identity":
         return sum(
             (n - x) * F(n, x, k) for k in range(r) for x in range(k, n + 1)
@@ -141,6 +183,7 @@ class SequenceSpec:
 
 def sequence(spec: SequenceSpec) -> list[int]:
     """Terms of a catalogued sequence at indices start .. start+count-1."""
+    require_ints(spec.start, spec.count, spec.r, spec.k, spec.x)
     if spec.count < 1:
         raise ValueError("sequence range must be nonempty")
     ns = range(spec.start, spec.start + spec.count)

@@ -13,6 +13,15 @@ from zeroruns import (
     sequences as seq,
 )
 
+
+def fibonacci_f_terms(start, count, r, k, x):
+    return seq.sequence(seq.SequenceSpec("fibonacci-f", start, count, r, k, x))
+
+
+def t_run_terms(start, count, r, k, x):
+    return seq.sequence(seq.SequenceSpec("t-run", start, count, r, k, x))
+
+
 GOOD = [
     (rc.F, (7, 3, 1)),
     (pal.F_hat, (7, 3, 1)),
@@ -45,6 +54,8 @@ GOOD = [
     (comp.two_count_palindromic, (5,)),
     (comp.partition_function, (5,)),
     (comp.p_hat_two_printed, (9, 4)),
+    (fibonacci_f_terms, (1, 2, 2, 1, 3)),
+    (t_run_terms, (5, 1, 2, 1, 3)),
 ]
 
 

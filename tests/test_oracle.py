@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +63,32 @@ def test_oracle_count_cap():
     assert oracle.oracle_count(5, cap=5).total() == 32
     with pytest.raises(ValueError):
         oracle.oracle_count(-1)
+
+
+ORACLE_GOOD = [
+    (oracle.check_cap, {"n": 5, "cap": 6}),
+    (oracle.oracle_count, {"n": 5, "cap": 6}),
+    (oracle.oracle_T, {"r": 2, "n": 5, "cap": 6}),
+    (oracle.oracle_zero_total, {"r": 2, "n": 5, "cap": 6}),
+    (oracle.oracle_partition_classes, {"n": 5, "x": 2, "k": 1, "cap": 6}),
+    (oracle.oracle_partition_table, {"n": 5, "cap": 6}),
+]
+
+
+def oracle_bad_calls():
+    for func, good in ORACLE_GOOD:
+        for name, value in good.items():
+            for bad in (float(value), Fraction(value), str(value), bool(value)):
+                yield pytest.param(func, good, name, bad,
+                                   id=f"{func.__name__}-{name}={bad!r}")
+
+
+@pytest.mark.parametrize("func, good, name, bad", oracle_bad_calls())
+def test_oracle_rejects_non_int(func, good, name, bad):
+    func(**good)
+    # the oracle checks types itself: 5.0 would otherwise reach 1 << n
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        func(**{**good, name: bad})
 
 
 def test_oracle_T_examples():

@@ -43,6 +43,70 @@ def test_T_and_O_paths_agree_with_oracle(r, n):
     assert o == seq.O(r, n, "identity") == oracle.oracle_zero_total(r, n)
 
 
+def list_recurrence(r, n):
+    """T(r, s) and O(r, s) for s = 0..n by the full-length list recurrences."""
+    t = [1] * (n + 1)
+    for s in range(1, min(r, n + 1)):
+        t[s] = 2**s
+    if n >= r:
+        t[r] = 2**r - 1
+    for m in range(r + 1, n + 1):
+        t[m] = sum(t[m - i] for i in range(1, r + 1))
+    o = [0] * (n + 1)
+    for s in range(1, min(r, n) + 1):
+        o[s] = s * 2 ** (s - 1)
+    for m in range(r + 1, n + 1):
+        o[m] = sum(o[m - i] for i in range(1, r + 1)) + t[m]
+    return t, o
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_T_and_O_match_list_recurrence(r):
+    # covers n < r, n = r and, for O, n < 2r, on both sides of the switch
+    # from stepping to square-and-multiply
+    t, o = list_recurrence(r, 400)
+    assert [seq.T(r, n) for n in range(1, 401)] == t[1:]
+    assert [seq.O(r, n) for n in range(1, 401)] == o[1:]
+
+
+@pytest.mark.parametrize("r, n", [(40, 45), (40, 79), (40, 80), (40, 300), (40, 1500)])
+def test_T_and_O_match_list_recurrence_at_large_r(r, n):
+    t, o = list_recurrence(r, n)
+    assert seq.T(r, n) == t[n]
+    assert seq.O(r, n) == o[n]
+
+
+def fibonacci(n):
+    """Fib(n) with Fib(0) = 0, Fib(1) = 1, by fast doubling."""
+    a, b = 0, 1  # Fib(m), Fib(m + 1) for m = the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**4, 10**5 + 1])
+def test_T2_is_fibonacci(n):
+    assert seq.T(2, n) == fibonacci(n + 2)
+
+
+@pytest.mark.parametrize("r, n", [(2, 1500), (3, 1499), (5, 1501)])
+def test_O_splits_at_each_zero(r, n):
+    # a word with a zero at position j is a run-avoiding word of length j,
+    # the zero, and a run-avoiding word of length n - 1 - j
+    t = [1] + [seq.T(r, j) for j in range(1, n)]
+    assert seq.O(r, n) == sum(t[j] * t[n - 1 - j] for j in range(n))
+
+
+@pytest.mark.parametrize("r", range(2, 5))
+def test_identity_paths_beyond_the_oracle_cap(r):
+    assert oracle.DEFAULT_PLAIN_CAP < 23
+    for n in range(23, 61):
+        assert seq.T(r, n, "identity") == seq.T(r, n)
+        assert seq.O(r, n, "identity") == seq.O(r, n)
+
+
 def test_ones_total():
     assert seq.ones_total(6, 4, 2) == 12
     assert seq.ones_total(6, 6, 6) == 0
