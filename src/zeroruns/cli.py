@@ -20,7 +20,7 @@ from . import oracle
 from . import palindromic as pal
 from . import runcount as rc
 from . import sequences as seq
-from .verify import run_verify
+from .verify import run_checks, run_verify
 
 ENV_ORACLE_CAP = "ZERORUNS_ORACLE_CAP"
 
@@ -178,7 +178,12 @@ def _cmd_verify(args) -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"invalid {ENV_ORACLE_CAP}: {env!r}") from None
-    if args.format != "json":
+    if args.format == "csv":
+        checks = list(run_checks(args.max_n, args.suite, cap))
+        _emit(args, {}, "oracle", ["check", "status", "flags", "failures"],
+              [[c.name, c.status, len(c.flags), len(c.failures)] for c in checks], [])
+        return 1 if any(c.failures for c in checks) else 0
+    if args.format == "plain":
         return 1 if run_verify(args.max_n, args.suite, cap) else 0
     buffer = io.StringIO()
     failures = run_verify(args.max_n, args.suite, cap, out=buffer)

@@ -105,24 +105,40 @@ def P(n: int, x: int, k: int) -> int:
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    return _classes(n, x, k)
+    if not feasible(n, x, k):
+        return 0
+    return _bounded_partitions(x - k, n - x, k)
+
+
+def _bounded_partitions(t: int, a: int, b: int) -> int:
+    """Partitions of t into at most a parts, each at most b (t, a, b >= 0).
+
+    No part exceeds t and no partition of t has more than t parts, so both
+    bounds are clipped to t, and conjugation swaps them: the cached kernel
+    sees one key per class of (t, a, b), shared across orders n.
+    """
+    if a > t:
+        a = t
+    if b > t:
+        b = t
+    return _classes(t, a, b) if a <= b else _classes(t, b, a)
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int, x: int, k: int) -> int:
-    if not feasible(n, x, k):
-        return 0
-    a, b = sorted((n - x, k))
+def _classes(t: int, a: int, b: int) -> int:
+    """_bounded_partitions on its normalised key a <= b <= t."""
     # [a+b choose a]_q = prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) has
     # symmetric coefficients up to degree ab: read the lower half, and stop
     # at i = degree, past which the factors leave the coefficients alone.
-    degree = min(x - k, a * b - (x - k))
+    degree = min(t, a * b - t)
+    if degree < 0:
+        return 0  # t > ab: no partition fits
     coeffs = [1] + [0] * degree
     for i in range(1, min(a, degree) + 1):
-        for t in range(degree, b + i - 1, -1):
-            coeffs[t] -= coeffs[t - b - i]
-        for t in range(i, degree + 1):
-            coeffs[t] += coeffs[t - i]
+        for s in range(degree, b + i - 1, -1):
+            coeffs[s] -= coeffs[s - b - i]
+        for s in range(i, degree + 1):
+            coeffs[s] += coeffs[s - i]
     return coeffs[degree]
 
 
@@ -179,13 +195,15 @@ def P_hat(n: int, x: int, k: int) -> int:
         if x % 2 == 0:
             return P(m, x // 2, k)
         acc = sum(P(m - i - 1, (x - 2 * i - 1) // 2, k) for i in range(k // 2))
-        if k % 2:
-            acc += sum(P((n - k - 2) // 2, (x - k) // 2, j) for j in range(k + 1))
-        return acc
-    m = n // 2
-    acc = sum(P(m - i - 1, (x - 2 * i) // 2, k) for i in range((k - 1) // 2 + 1))
-    if k % 2 == 0:
-        acc += sum(P(m - k // 2 - 1, (x - k) // 2, j) for j in range(k + 1))
+    else:
+        m = n // 2
+        acc = sum(P(m - i - 1, (x - 2 * i) // 2, k) for i in range((k - 1) // 2 + 1))
+    if k % 2 == n % 2:
+        # beside a central block 0^k: sum_j P(h, y, j) over j <= k counts the
+        # partitions of y into at most h - y + 1 parts, each at most k, with
+        # 0 <= y <= h as k < x <= n - 2
+        h, y = (n - k - 2) // 2, (x - k) // 2
+        acc += _bounded_partitions(y, h - y + 1, k)
     return acc
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .runcount import F, SupportSet, binomial, feasible, not_ints, require_ints
+from .runcount import F, SupportSet, _bounded, binomial, feasible, not_ints, require_ints
 
 __all__ = [
     "F_hat",
@@ -45,7 +45,10 @@ def F_hat(n: int, x: int, k: int) -> int:
     half = n // 2
     if (n + k) % 2 == 0:
         acc = sum(F(half - i - 1, x // 2 - i, k) for i in range((k - 2) // 2 + 1))
-        acc += sum(F((n - k) // 2 - 1, (x - k) // 2, j) for j in range(k + 1))
+        # beside a central block 0^k the half may have any longest run j <= k:
+        # sum_j F(h, y, j) is A_k(h, y), with 0 <= y <= h as 2k <= x <= n - 2
+        h, y = (n - k) // 2 - 1, (x - k) // 2
+        acc += _bounded(h, y, k)
         return acc
     return sum(F(half - i - 1, x // 2 - i, k) for i in range((k - 1) // 2 + 1))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .palindromic import F_hat
 from .runcount import F, require_ints
@@ -46,10 +47,7 @@ def _nth_term(poly: list[int], init: list[int], n: int) -> int:
     """
     d = len(poly) - 1
     if n - d <= d * n.bit_length():
-        window = init
-        for _ in range(n - d + 1):
-            window = window[1:] + [-sum(c * a for c, a in zip(poly, window))]
-        return window[-1]
+        return next(islice(_stepped(poly, init), n, None))
     rem = [1] + [0] * (d - 1)
     for bit in bin(n)[2:]:
         sq = [0] * (2 * d - 1)
@@ -68,6 +66,16 @@ def _nth_term(poly: list[int], init: list[int], n: int) -> int:
     return sum(c * a for c, a in zip(rem, init))
 
 
+def _stepped(poly: list[int], init: list[int]):
+    """init, then every later term of the sequence annihilated by the monic
+    poly (see _nth_term), each from the window of the d terms before it."""
+    yield from init
+    window = init
+    while True:
+        window = window[1:] + [-sum(c * a for c, a in zip(poly, window))]
+        yield window[-1]
+
+
 def _o_head(r: int, count: int) -> list[int]:
     """O(r, s) for s < count by the short recurrence, with O(r, 0) = 0."""
     t, o = [1], [0]  # T(r, 0) = 1
@@ -80,6 +88,13 @@ def _o_head(r: int, count: int) -> list[int]:
 def _run_poly(r: int) -> list[int]:
     """c(x) = x^r - x^(r-1) - ... - 1, which annihilates T(r, s) from s = 0."""
     return [-1] * r + [1]
+
+
+def _o_poly(r: int) -> list[int]:
+    """c(x)^2, which annihilates O(r, s) from s = 0 (see O)."""
+    c = _run_poly(r)
+    return [sum(c[j] * c[i - j] for j in range(max(0, i - r), min(i, r) + 1))
+            for i in range(2 * r + 1)]
 
 
 def T(r: int, n: int, method: str = "recurrence") -> int:
@@ -122,10 +137,7 @@ def O(r: int, n: int, method: str = "recurrence") -> int:
         head = _o_head(r, min(n + 1, 2 * r))
         if n < 2 * r:
             return head[n]
-        c = _run_poly(r)
-        square = [sum(c[j] * c[i - j] for j in range(max(0, i - r), min(i, r) + 1))
-                  for i in range(2 * r + 1)]
-        return _nth_term(square, head, n)
+        return _nth_term(_o_poly(r), head, n)
     if method == "identity":
         return sum(
             (n - x) * F(n, x, k) for k in range(r) for x in range(k, n + 1)
@@ -190,9 +202,13 @@ def sequence(spec: SequenceSpec) -> list[int]:
     if spec.name == "fibonacci-f":
         return [fib_f(n) for n in ns]
     if spec.name == "t-run":
-        return [T(spec.r, n) for n in ns]
+        # the first r terms by T (at least one, so that T rejects r < 2),
+        # the rest by the recurrence
+        head = [T(spec.r, n) for n in ns[:max(spec.r, 1)]]
+        return list(islice(_stepped(_run_poly(spec.r), head), spec.count))
     if spec.name == "o-run":
-        return [O(spec.r, n) for n in ns]
+        head = [O(spec.r, n) for n in ns[:max(2 * spec.r, 1)]]
+        return list(islice(_stepped(_o_poly(spec.r), head), spec.count))
     if spec.name == "triangular":
         return [F(n, 2, 1) for n in ns]
     if spec.name == "oblong":

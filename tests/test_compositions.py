@@ -1,6 +1,8 @@
+from functools import cache
+
 import pytest
 
-from zeroruns import compositions as comp, oracle
+from zeroruns import compositions as comp, oracle, palindromic as pal, runcount as rc
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
 
@@ -101,6 +103,111 @@ def test_P_does_not_depend_on_warm_state_or_call_order():
     comp._classes.cache_clear()
     assert [comp.P(*t) for t in reversed(triples)] == want[::-1]
     assert [comp.P(*t) for t in triples] == want
+
+
+def test_palindromic_layer_does_not_depend_on_warm_state_or_call_order():
+    counts = oracle.oracle_count(12, palindromic=True)
+    table = oracle.oracle_partition_table(12, palindromic=True)
+    triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
+    for count, want in ((pal.F_hat, [counts.count(x, k) for _, x, k in triples]),
+                        (comp.P_hat, [table.get((x, k), 0) for _, x, k in triples])):
+        rc._bounded.cache_clear()
+        comp._classes.cache_clear()
+        assert [count(*t) for t in triples] == want
+        rc._bounded.cache_clear()
+        comp._classes.cache_clear()
+        assert [count(*t) for t in reversed(triples)] == want[::-1]
+        assert [count(*t) for t in triples] == want
+
+
+@cache
+def box_partitions(t, a, b):
+    """Partitions of t into at most a parts, each at most b: either no part
+    equals b, or one part b comes off."""
+    if t == 0:
+        return 1
+    if t < 0 or a == 0 or b == 0:
+        return 0
+    return box_partitions(t, a, b - 1) + box_partitions(t - b, a - 1, b)
+
+
+def test_partition_kernel_against_dp():
+    # bounds on both sides of t, so every clipped and swapped key is reached
+    comp._classes.cache_clear()
+    for t in range(41):
+        for a in range(46):
+            for b in range(46):
+                assert comp._bounded_partitions(t, a, b) == box_partitions(t, a, b), (t, a, b)
+
+
+@pytest.mark.parametrize("triples", [
+    [(n, 8, 3) for n in range(13, 60)],  # t = 5, a = n - 8 >= 5 clips to 5
+    [(20, 5, 4), (20, 6, 5)],            # t = 1, both bounds clip to 1
+    [(11, 7, 3), (11, 8, 4)],            # t = 4, bounds (4, 3) and (3, 4)
+])
+def test_partition_kernel_key_is_shared_across_orders(triples):
+    comp._classes.cache_clear()
+    for triple in triples:
+        comp.P(*triple)
+    assert comp._classes.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("h", [*range(31), 1000, 10**5])
+def test_cumulative_lookups_equal_sums_over_run_length(h):
+    # F_hat and P_hat take "any run length j <= k" in one lookup each
+    for y in range(h + 1) if h <= 30 else range(13):
+        for k in range(y + 2):
+            assert sum(F(h, y, j) for j in range(k + 1)) == rc._bounded(h, y, k), (h, y, k)
+            assert (sum(comp.P(h, y, j) for j in range(k + 1))
+                    == comp._bounded_partitions(y, h - y + 1, k)), (h, y, k)
+
+
+@cache
+def P_per_cell(n, x, k):
+    """P as computed before the kernel was keyed by (t, a, b): one
+    Gaussian-binomial coefficient per (n, x, k)."""
+    if not rc.feasible(n, x, k):
+        return 0
+    a, b = sorted((n - x, k))
+    degree = min(x - k, a * b - (x - k))
+    coeffs = [1] + [0] * degree
+    for i in range(1, min(a, degree) + 1):
+        for t in range(degree, b + i - 1, -1):
+            coeffs[t] -= coeffs[t - b - i]
+        for t in range(i, degree + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs[degree]
+
+
+def P_hat_per_cell(n, x, k):
+    """P_hat as computed before the cumulative lookup: one P per run length
+    j <= k beside a central block of length k."""
+    if F_hat(n, x, k) == 0:
+        return 0
+    if k <= 1 or k == x:
+        return 1
+    if n % 2:
+        m = (n - 1) // 2
+        if x % 2 == 0:
+            return P_per_cell(m, x // 2, k)
+        acc = sum(P_per_cell(m - i - 1, (x - 2 * i - 1) // 2, k) for i in range(k // 2))
+        if k % 2:
+            acc += sum(P_per_cell((n - k - 2) // 2, (x - k) // 2, j) for j in range(k + 1))
+        return acc
+    m = n // 2
+    acc = sum(P_per_cell(m - i - 1, (x - 2 * i) // 2, k) for i in range((k - 1) // 2 + 1))
+    if k % 2 == 0:
+        acc += sum(P_per_cell(m - k // 2 - 1, (x - k) // 2, j) for j in range(k + 1))
+    return acc
+
+
+@pytest.mark.parametrize("n", range(-2, 41))
+def test_P_and_P_hat_equal_per_cell_code(n):
+    # every integer triple, negative and infeasible ones included
+    for x in range(-2, max(n, 0) + 3):
+        for k in range(-2, max(n, 0) + 3):
+            assert comp.P(n, x, k) == P_per_cell(n, x, k), (n, x, k)
+            assert comp.P_hat(n, x, k) == P_hat_per_cell(n, x, k), (n, x, k)
 
 
 @pytest.mark.parametrize("n", range(0, 15))

@@ -46,6 +46,39 @@ def test_F_hat_printed_matrix_rows():
     ) == F_HAT_4
 
 
+def F_hat_per_cell(n, x, k):
+    """F_hat as computed before the cumulative lookup: one F per run length
+    j <= k beside a central block of length k."""
+    if x == 0:
+        return 1 if k == 0 and n >= 0 else 0
+    if not rc.feasible(n, x, k):
+        return 0
+    if x == n:
+        return 1 if k == n else 0
+    if n % 2 == 0 and x % 2 == 1:
+        return 0
+    if n % 2 == 1 and x % 2 == 0:
+        return rc.F((n - 1) // 2, x // 2, k)
+    if 2 * k > x:
+        if k % 2 != n % 2:
+            return 0
+        return rc.binomial((n - k - 2) // 2, (x - k) // 2)
+    half = n // 2
+    if (n + k) % 2 == 0:
+        acc = sum(rc.F(half - i - 1, x // 2 - i, k) for i in range((k - 2) // 2 + 1))
+        acc += sum(rc.F((n - k) // 2 - 1, (x - k) // 2, j) for j in range(k + 1))
+        return acc
+    return sum(rc.F(half - i - 1, x // 2 - i, k) for i in range((k - 1) // 2 + 1))
+
+
+@pytest.mark.parametrize("n", range(-2, 41))
+def test_F_hat_equals_per_cell_code(n):
+    # every integer triple, negative and infeasible ones included
+    for x in range(-2, max(n, 0) + 3):
+        for k in range(-2, max(n, 0) + 3):
+            assert pal.F_hat(n, x, k) == F_hat_per_cell(n, x, k), (n, x, k)
+
+
 def test_F_hat_high_k():
     assert pal.F_hat_high_k(7, 5, 3) == 1
     assert pal.F_hat_high_k(6, 4, 3) == 0  # parity mismatch with n

@@ -76,6 +76,18 @@ def test_T_and_O_match_list_recurrence_at_large_r(r, n):
     assert seq.O(r, n) == o[n]
 
 
+@pytest.mark.parametrize("r", range(2, 7))
+def test_run_ranges_equal_per_term_calls(r):
+    # ranges starting below r and below 2r, and one that crosses the switch
+    # in _nth_term from stepping to square-and-multiply (n ~ 10..100 here)
+    for start, count in [(1, 1), (1, 2 * r + 3), (r - 1, 40), (2 * r - 1, 40),
+                         (1, 160), (1000, 6)]:
+        for name, term in (("t-run", seq.T), ("o-run", seq.O)):
+            spec = seq.SequenceSpec(name, start, count, r=r)
+            want = [term(r, n) for n in range(start, start + count)]
+            assert seq.sequence(spec) == want, (name, start, count)
+
+
 def fibonacci(n):
     """Fib(n) with Fib(0) = 0, Fib(1) = 1, by fast doubling."""
     a, b = 0, 1  # Fib(m), Fib(m + 1) for m = the bits of n read so far
@@ -170,3 +182,10 @@ def test_sequence_rejects_bad_specs():
         seq.sequence(seq.SequenceSpec("no-such-sequence", 1, 3))
     with pytest.raises(ValueError):
         seq.sequence(seq.SequenceSpec("fibonacci-f", 1, 0))
+    for name in ("t-run", "o-run"):
+        for r in (1, 0, -1):
+            for count in (1, 3):
+                with pytest.raises(ValueError, match="r >= 2"):
+                    seq.sequence(seq.SequenceSpec(name, 1, count, r=r))
+        with pytest.raises(ValueError, match="n >= 1"):
+            seq.sequence(seq.SequenceSpec(name, 0, 3))
