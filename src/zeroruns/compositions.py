@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .palindromic import F_hat, support_hat_set
+from .palindromic import F_hat, _halves, support_hat_set
 from .runcount import F, feasible, not_ints, require_ints, support_set
 
 __all__ = [
@@ -177,34 +177,18 @@ def partition_function(m: int) -> int:
 def P_hat(n: int, x: int, k: int) -> int:
     """Partition classes of the palindromic class (n, x, k).
 
-    A palindrome's multiset is one half's multiset doubled, plus the centred
-    zero block when there is one; the block bounded by the centre has length
-    2i + 1 (odd n, odd x), 2i (even n), or 0 (odd n, even x: reduces to a
-    plain half-length count).  Central blocks shorter than k leave a half
-    whose longest run is exactly k; a central block of length k frees the
-    half to any run length j <= k.  Raises ValueError on non-int arguments.
+    A palindrome's multiset is its half's doubled, plus the central block
+    0^c when c > 0, the one part of odd multiplicity: classes with different
+    centres never meet.  So P_hat sums over the half-word classes of
+    palindromic._halves: P(h, y, k) for a half whose longest run is exactly
+    k, and the partitions of y into at most h - y + 1 parts, each at most k,
+    for a half beside a central block 0^k.  Raises ValueError on non-int
+    arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    if F_hat(n, x, k) == 0:
-        return 0
-    if k <= 1 or k == x:
-        return 1
-    if n % 2:
-        m = (n - 1) // 2
-        if x % 2 == 0:
-            return P(m, x // 2, k)
-        acc = sum(P(m - i - 1, (x - 2 * i - 1) // 2, k) for i in range(k // 2))
-    else:
-        m = n // 2
-        acc = sum(P(m - i - 1, (x - 2 * i) // 2, k) for i in range((k - 1) // 2 + 1))
-    if k % 2 == n % 2:
-        # beside a central block 0^k: sum_j P(h, y, j) over j <= k counts the
-        # partitions of y into at most h - y + 1 parts, each at most k, with
-        # 0 <= y <= h as k < x <= n - 2
-        h, y = (n - k - 2) // 2, (x - k) // 2
-        acc += _bounded_partitions(y, h - y + 1, k)
-    return acc
+    return sum(P(h, y, k) if exact else _bounded_partitions(y, h - y + 1, k)
+               for h, y, exact in _halves(n, x, k))
 
 
 def P_hat_total(n: int) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .runcount import F, SupportSet, _bounded, binomial, feasible, not_ints, require_ints
+from .runcount import SupportSet, _bounded, binomial, feasible, not_ints, require_ints
 
 __all__ = [
     "F_hat",
@@ -14,43 +14,57 @@ __all__ = [
 ]
 
 
+def _halves(n: int, x: int, k: int):
+    """Yield the non-empty half-word classes (h, y, exact) of the palindromic
+    class (n, x, k): the half words of length h with y zeros whose longest
+    run is exactly k (exact) or at most k (not exact).  Each palindrome has
+    its half in exactly one of them.
+
+    A palindrome of odd length and even zero count has a central one between
+    two mirrored halves.  Any other palindrome but the all-zero word reads
+    A 1 0^c 1 reverse(A), with c = n (mod 2) and c <= k: a central block of
+    length k frees the half to any run length up to k, and a shorter one
+    leaves the longest run k to the half.
+    """
+    if not feasible(n, x, k):
+        return
+    if x == n:
+        yield 0, 0, False  # the all-zero word: one class, an empty half
+    elif n % 2 and x % 2 == 0:
+        if feasible(n // 2, x // 2, k):
+            yield n // 2, x // 2, True
+    elif (n - x) % 2 == 0:
+        if (n - k) % 2 == 0:
+            yield (n - k) // 2 - 1, (x - k) // 2, False
+        # the half holds a run k, so c <= x - 2k; each step down in c gives it
+        # a zero and a place more, never easier to fill: stop at the first empty class
+        top = min(k - 1, x - 2 * k)
+        for c in range(top - (top - n) % 2, -1, -2):
+            h, y = (n - c) // 2 - 1, (x - c) // 2
+            if not feasible(h, y, k):
+                break
+            yield h, y, True
+
+
 def F_hat(n: int, x: int, k: int) -> int:
     """Palindromic class count, total on all integer triples.
 
-    A palindrome is determined by its half, and the dispatch mirrors that:
-    an even length forces an even zero count; an odd length with even zero
-    count has a central one and reduces to a plain half-length count; a
-    longest block with 2k > x must sit alone at the centre (closed form);
-    the remaining cases split on the leading zero block of the half word.
-    Raises ValueError on non-int arguments.
+    Sums over the half-word classes of _halves, with A_k(h, y) the cached
+    count of half words whose runs are all at most k (runcount._bounded):
+    A_k - A_(k-1) for an exact class, and A_k for the others, its bound
+    clipped to y so that every k >= y shares the row's C(h, y).  Raises
+    ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    if x == 0:
-        return 1 if k == 0 and n >= 0 else 0
-    if not feasible(n, x, k):
-        return 0
-    if x == n:
-        return 1 if k == n else 0
-    if n % 2 == 0 and x % 2 == 1:
-        return 0
-    if n % 2 == 1 and x % 2 == 0:
-        # central bit is a one; halves carry x/2 zeros and the same runs
-        return F((n - 1) // 2, x // 2, k)
-    if 2 * k > x:
-        # the unique longest block is centred: A 1 0^k 1 reverse(A)
-        if k % 2 != n % 2:
-            return 0
-        return binomial((n - k - 2) // 2, (x - k) // 2)
-    half = n // 2
-    if (n + k) % 2 == 0:
-        acc = sum(F(half - i - 1, x // 2 - i, k) for i in range((k - 2) // 2 + 1))
-        # beside a central block 0^k the half may have any longest run j <= k:
-        # sum_j F(h, y, j) is A_k(h, y), with 0 <= y <= h as 2k <= x <= n - 2
-        h, y = (n - k) // 2 - 1, (x - k) // 2
-        acc += _bounded(h, y, k)
-        return acc
-    return sum(F(half - i - 1, x // 2 - i, k) for i in range((k - 1) // 2 + 1))
+    # a loop: sum() over a generator expression costs a cached row ~15% more
+    total = 0
+    for h, y, exact in _halves(n, x, k):
+        if exact:
+            total += _bounded(h, y, k) - _bounded(h, y, k - 1)
+        else:
+            total += _bounded(h, y, min(k, y))
+    return total
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:
@@ -74,6 +88,13 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     Kept as a testable claim rather than used inside F_hat: with q = floor(x/k)
     it requires x + q - 1 <= n when k | x and x + q <= n otherwise, which
     accepts e.g. (4, 1, 1) although no length-4 palindrome has a single zero.
+
+    The inequality is plain feasibility, x + ceil(x/k) - 1 <= n.  Read off
+    _halves, the class is non-empty iff it holds and a parity term does:
+    x = n needs k = n; odd n with even x needs feasible((n-1)/2, x/2, k);
+    otherwise x = n (mod 2) is required, and k = n (mod 2) suffices; else,
+    with c* the largest c <= min(k-1, x-2k) of the parity of n, it needs
+    c* >= 0 and ceil((x-c*)/(2k)) <= (n-x)/2.
     """
     require_ints(n, x, k)
     if n < 1 or x < 1 or k < 1:
@@ -83,17 +104,10 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
 
 
 def support_hat_set(n: int) -> SupportSet:
-    """Built by testing F_hat > 0 over 0 <= k <= x <= n (positivity by value)."""
+    """The pairs 0 <= k <= x <= n whose palindromic class has a half word."""
     require_ints(n)
-    pairs: set[tuple[int, int]] = set()
-    if n >= 0:
-        pairs = {
-            (x, k)
-            for x in range(n + 1)
-            for k in range(x + 1)
-            if F_hat(n, x, k) > 0
-        }
-    return SupportSet(n, frozenset(pairs))
+    return SupportSet(n, frozenset(
+        (x, k) for x in range(n + 1) for k in range(x + 1) if any(_halves(n, x, k))))
 
 
 def support_hat_size_formula(n: int) -> int:

@@ -228,10 +228,11 @@ def _verify_palindromic_support_formula(check: Check, max_n: int,
 def _verify_lemma_gap(check: Check, max_n: int, cap: int | None) -> None:
     accepted_empty: list[tuple[int, int, int]] = []
     for n in range(1, max_n + 1):
+        support = pal.support_hat_set(n)
         for x in range(1, n + 1):
             for k in range(1, x + 1):
                 holds = pal.lemma_positivity_hat(n, x, k)
-                positive = pal.F_hat(n, x, k) > 0
+                positive = (x, k) in support
                 if positive and not holds:
                     check.fail(f"lemma rejects nonempty class ({n},{x},{k})")
                 if holds and not positive:

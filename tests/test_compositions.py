@@ -5,6 +5,7 @@ import pytest
 from zeroruns import compositions as comp, oracle, palindromic as pal, runcount as rc
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
+from test_palindromic import F_hat_per_cell
 
 
 def enumerate_compositions(m, palindromic=False):
@@ -182,7 +183,7 @@ def P_per_cell(n, x, k):
 def P_hat_per_cell(n, x, k):
     """P_hat as computed before the cumulative lookup: one P per run length
     j <= k beside a central block of length k."""
-    if F_hat(n, x, k) == 0:
+    if F_hat_per_cell(n, x, k) == 0:
         return 0
     if k <= 1 or k == x:
         return 1
@@ -201,7 +202,7 @@ def P_hat_per_cell(n, x, k):
     return acc
 
 
-@pytest.mark.parametrize("n", range(-2, 41))
+@pytest.mark.parametrize("n", range(-2, 71))
 def test_P_and_P_hat_equal_per_cell_code(n):
     # every integer triple, negative and infeasible ones included
     for x in range(-2, max(n, 0) + 3):
@@ -267,6 +268,29 @@ def test_support_size_vs_partition_total(n):
 def test_P_hat_total_matches_oracle(n):
     table = oracle.oracle_partition_table(n, palindromic=True)
     assert comp.P_hat_total(n) == sum(table.values())
+
+
+partitions = cache(comp.partition_function)
+
+
+def one_odd_multiplicity(m):
+    """Partitions of m with at most one part size of odd multiplicity: with
+    none, the parts pair up; with one, s = m (mod 2), one part s comes off
+    and the rest pair up."""
+    paired = partitions(m // 2) if m % 2 == 0 else 0
+    return paired + sum(partitions((m - s) // 2) for s in range(2 - m % 2, m + 1, 2))
+
+
+def test_one_odd_multiplicity_small_cases():
+    # m = 4: 4, 2+2, 2+1+1 and 1+1+1+1, not 3+1; m = 5: 5, 3+1+1, 2+2+1 and 1^5
+    assert [one_odd_multiplicity(m) for m in range(1, 7)] == [1, 2, 2, 4, 4, 7]
+
+
+@pytest.mark.parametrize("n", range(0, 151))
+def test_P_hat_total_counts_partitions_with_one_odd_multiplicity(n):
+    # a palindromic composition of n + 1 doubles its half's parts around at
+    # most one central part: its partition is one of these
+    assert comp.P_hat_total(n) == one_odd_multiplicity(n + 1)
 
 
 def test_printed_palindromic_two_rules():

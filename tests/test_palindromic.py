@@ -71,7 +71,7 @@ def F_hat_per_cell(n, x, k):
     return sum(rc.F(half - i - 1, x // 2 - i, k) for i in range((k - 1) // 2 + 1))
 
 
-@pytest.mark.parametrize("n", range(-2, 41))
+@pytest.mark.parametrize("n", range(-2, 71))
 def test_F_hat_equals_per_cell_code(n):
     # every integer triple, negative and infeasible ones included
     for x in range(-2, max(n, 0) + 3):
@@ -112,6 +112,35 @@ def test_lemma_is_necessary_but_not_sufficient(n):
         for k in range(1, x + 1):
             if pal.F_hat(n, x, k) > 0:
                 assert pal.lemma_positivity_hat(n, x, k)
+
+
+def positive_hat(n, x, k):
+    """Non-emptiness of the palindromic class (n, x, k), 0 <= k <= x <= n:
+    the printed lemma plus the parity term it lacks."""
+    if x == 0 or k == 0:
+        return x == k == 0
+    if not pal.lemma_positivity_hat(n, x, k):
+        return False
+    if x == n:
+        return k == n
+    if n % 2 and x % 2 == 0:
+        # a central one: a half of x/2 zeros in (n-1)/2 places, longest run k
+        half, y = n // 2, x // 2
+        return k <= y and y + -(-y // k) - 1 <= half
+    if (n - x) % 2:
+        return False
+    if (n - k) % 2 == 0:
+        return True  # a central block 0^k
+    # else the longest central block c* < k that leaves the half a run k
+    c = min(k - 1, x - 2 * k)
+    c -= (c - n) % 2
+    return c >= 0 and -(-(x - c) // (2 * k)) <= (n - x) // 2
+
+
+@pytest.mark.parametrize("n", range(0, 201))
+def test_support_hat_set_equals_corrected_positivity_criterion(n):
+    criterion = {(x, k) for x in range(n + 1) for k in range(x + 1) if positive_hat(n, x, k)}
+    assert pal.support_hat_set(n).pairs == criterion
 
 
 def test_support_hat_set_n5_exact():
