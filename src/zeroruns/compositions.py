@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .palindromic import F_hat, _halves, support_hat_set
 from .runcount import F, feasible, not_ints, require_ints, support_set
+from .sequences import column_sum, palindromic_column_sum
 
 __all__ = [
     "compositions_by_largest_summand",
@@ -36,11 +37,8 @@ def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[
     require_ints(m)
     if m < 1:
         raise ValueError("compositions are defined for m >= 1")
-    count = F_hat if palindromic else F
-    n = m - 1
-    return tuple(
-        sum(count(n, x, s - 1) for x in range(n + 1)) for s in range(1, m + 1)
-    )
+    column = palindromic_column_sum if palindromic else column_sum
+    return tuple(column(m - 1, k) for k in range(m))
 
 
 def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula") -> int:

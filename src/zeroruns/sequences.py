@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .palindromic import F_hat
 from .runcount import F, require_ints
 
 __all__ = [
@@ -153,16 +153,51 @@ def ones_total(n: int, x: int, k: int) -> int:
     return (n - x) * F(n, x, k)
 
 
+def _bounded_runs(k: int):
+    """B_k(0), B_k(1), ...: the words of each length whose zero-runs are all
+    at most k, by B_k(s) = 2 B_k(s-1) - B_k(s-k-2) (Schilling, "The Longest
+    Run of Heads", 1990) from B_k(s) = 2^s for s <= k and
+    B_k(k+1) = 2^(k+1) - 1.  A window of k + 2 terms is held; k = -1 gives
+    all zeros."""
+    window = deque([1 << s for s in range(k + 1)] + [(1 << (k + 1)) - 1], maxlen=k + 2)
+    yield from window
+    while True:
+        window.append(2 * window[-1] - window[0])
+        yield window[-1]
+
+
+def _palindromic_bounded_runs(n: int, k: int) -> int:
+    """The palindromes of length n >= 0 whose zero-runs are all at most k.
+
+    With n <= k every palindrome counts.  Otherwise each reads A 1 reverse(A)
+    (odd n) or A 1 0^c 1 reverse(A) with c = n (mod 2) and c <= k, and its
+    half A is any word of its length with runs at most k.  This is the centre
+    split of palindromic._halves without the zero count: _halves yields the
+    classes of one x whose longest run is exactly k, this counts runs at most
+    k over all x.  One pass of _bounded_runs to length n // 2 gives every term.
+    """
+    if n <= k:
+        return 1 << ((n + 1) // 2)
+    half = deque(islice(_bounded_runs(k), n // 2 + 1), maxlen=k // 2 + 2)
+    # the half of A 1 0^c 1 reverse(A) has length n // 2 - 1 - c // 2
+    return n % 2 * half[-1] + sum(half[-2 - c // 2] for c in range(n % 2, k + 1, 2))
+
+
 def column_sum(n: int, k: int) -> int:
-    """Sum of F(n, x, k) over x: column k of the order-n count matrix."""
+    """Sum of F(n, x, k) over x, column k of the order-n matrix: B_k(n) - B_(k-1)(n)."""
     require_ints(n, k)
-    return sum(F(n, x, k) for x in range(k, n + 1))
+    if not 0 <= k <= n:
+        return 0
+    return (next(islice(_bounded_runs(k), n, None))
+            - next(islice(_bounded_runs(k - 1), n, None)))
 
 
 def palindromic_column_sum(n: int, k: int) -> int:
-    """Sum of F_hat(n, x, k) over x."""
+    """Sum of F_hat(n, x, k) over x, as column_sum over palindromes."""
     require_ints(n, k)
-    return sum(F_hat(n, x, k) for x in range(k, n + 1))
+    if not 0 <= k <= n:
+        return 0
+    return _palindromic_bounded_runs(n, k) - _palindromic_bounded_runs(n, k - 1)
 
 
 SEQUENCE_NAMES = (

@@ -200,6 +200,13 @@ def test_verify_json(capsys):
     assert any(line.startswith("ok ") for line in record["result"]["report"])
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_negative_max_n_runs_no_check(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--max-n", "-1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: max_n must be >= 0, got -1\n"
+
+
 def test_verify_cap_failure_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
                        "--oracle-cap", "4")

@@ -1,6 +1,9 @@
+from itertools import islice
+
 import pytest
 
-from zeroruns import oracle, sequences as seq
+from zeroruns import compositions as comp, oracle, sequences as seq
+from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F
 
 
@@ -149,6 +152,74 @@ def test_sequence_column_sums():
     # true column sums follow the Fibonacci identities (see acceptance suite)
     spec = seq.SequenceSpec("palindromic-column-sum", start=1, count=10, k=1)
     assert seq.sequence(spec) == [1, 0, 2, 1, 4, 2, 7, 4, 12, 7]
+
+
+def bounded_runs(k, count):
+    """B_k(0) .. B_k(count - 1) from the kernel."""
+    return list(islice(seq._bounded_runs(k), count))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_bounded_runs_equal_T(k):
+    # zero-runs at most k is no k + 1 consecutive zeros: T(k + 1, s) by symmetry
+    assert bounded_runs(k, 201)[1:] == [seq.T(k + 1, s) for s in range(1, 201)]
+
+
+def test_bounded_runs_at_k_0_and_minus_1():
+    assert bounded_runs(0, 50) == [1] * 50
+    assert bounded_runs(-1, 50) == [0] * 50
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_palindromic_bounded_runs_against_palindromes(n):
+    longest = [oracle.classify(w)[1] for w in oracle.iter_palindromes(n)]
+    for k in range(-1, n + 2):
+        want = sum(run <= k for run in longest)
+        assert seq._palindromic_bounded_runs(n, k) == want, k
+
+
+# The column quantities as sums of F and F_hat over x, as they were computed
+# before the bounded-run kernel; they stay as independent references.
+def column_sum_by_F(n, k):
+    return sum(F(n, x, k) for x in range(k, n + 1))
+
+
+def palindromic_column_sum_by_F_hat(n, k):
+    return sum(F_hat(n, x, k) for x in range(k, n + 1))
+
+
+def distribution_by_F(m, palindromic):
+    count = F_hat if palindromic else F
+    n = m - 1
+    return tuple(sum(count(n, x, s - 1) for x in range(n + 1)) for s in range(1, m + 1))
+
+
+@pytest.mark.parametrize("n", range(-2, 71))
+def test_column_sums_equal_F_sums(n):
+    for k in range(-2, n + 3):
+        assert seq.column_sum(n, k) == column_sum_by_F(n, k), k
+        assert seq.palindromic_column_sum(n, k) == palindromic_column_sum_by_F_hat(n, k), k
+
+
+@pytest.mark.parametrize("m", range(1, 72))
+def test_distributions_equal_F_sums(m):
+    for palindromic in (False, True):
+        assert (comp.compositions_by_largest_summand(m, palindromic)
+                == distribution_by_F(m, palindromic))
+
+
+def test_column_sum_at_large_n():
+    assert seq.column_sum(3000, 5) == seq.T(6, 3000) - seq.T(5, 3000)
+
+
+def test_column_sums_count_every_word_at_large_n():
+    assert sum(seq.column_sum(2000, k) for k in range(2001)) == 2**2000
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_palindromic_column_sums_count_every_palindrome_at_large_n(n):
+    total = sum(seq.palindromic_column_sum(n, k) for k in range(n + 1))
+    assert total == 2 ** ((n + 1) // 2)
 
 
 def test_sequence_triangular():
