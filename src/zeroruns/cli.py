@@ -20,7 +20,6 @@ from . import oracle
 from . import palindromic as pal
 from . import runcount as rc
 from . import sequences as seq
-from .verify import run_checks, run_verify
 
 ENV_ORACLE_CAP = "ZERORUNS_ORACLE_CAP"
 
@@ -171,6 +170,10 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: verify is the one subcommand that needs it, and every
+    # other command would pay for compiling the module at start-up
+    from .verify import run_checks, run_verify
+
     cap = args.oracle_cap
     env = os.environ.get(ENV_ORACLE_CAP)
     if cap is None and env is not None:

@@ -4,12 +4,19 @@ Everything here walks words explicitly -- all 2^n of them, or the 2^ceil(n/2)
 half words in the palindromic case -- so lengths are capped.  The caps are
 per-call arguments with module-level defaults, not hard constants: the oracle
 is a validation tool, not the production path.
+
+Each length is walked once: _tally counts the words of one (n, palindromic)
+by zero count, longest zero-run and longest one-run, and is cached, so
+oracle_count, oracle_T and oracle_zero_total at one n share a single sweep.
+Arguments and caps are checked before the cache is consulted, and every
+public call builds a fresh result from the cached tally.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -116,31 +123,65 @@ class ClassTable:
         return frozenset(self.counts)
 
 
+def _words(n: int, palindromic: bool) -> Iterator[str]:
+    return iter_palindromes(n) if palindromic else iter_words(n)
+
+
+@lru_cache(maxsize=None)
+def _tally(n: int, palindromic: bool) -> dict[tuple[int, int, int], int]:
+    """Words of length n (or palindromes) by (zeros, longest zero-run,
+    longest one-run), in order of first appearance; callers check n first.
+
+    The pieces of a split are runs of one symbol, so the lexicographic max
+    is the longest of them.
+    """
+    return dict(Counter(
+        (w.count("0"), len(max(w.split("1"))), len(max(w.split("0"))))
+        for w in _words(n, palindromic)
+    ))
+
+
 def oracle_count(n: int, palindromic: bool = False, cap: int | None = None) -> ClassTable:
     """Tally every class of length-n words (or palindromes) by enumeration."""
     check_cap(n, palindromic, cap)
-    words = iter_palindromes(n) if palindromic else iter_words(n)
-    return ClassTable(n, palindromic, dict(Counter(classify(w) for w in words)))
+    counts: dict[tuple[int, int], int] = {}
+    for (x, k, _), count in _tally(n, bool(palindromic)).items():
+        counts[x, k] = counts.get((x, k), 0) + count
+    return ClassTable(n, palindromic, counts)
+
+
+def _run_avoiding(r: int, n: int, cap: int | None) -> Iterator[tuple[int, int]]:
+    """(zeros, count) per tally cell of the length-n words with no r ones in a row."""
+    _require_ints(r, n)
+    if r < 2:
+        raise ValueError("run bound r must be >= 2")
+    check_cap(n, False, cap)
+    return ((x, count) for (x, _, j), count in _tally(n, False).items() if j < r)
 
 
 def oracle_T(r: int, n: int, cap: int | None = None) -> int:
     """Number of length-n words with no r consecutive ones, by enumeration."""
-    _require_ints(r, n)
-    if r < 2:
-        raise ValueError("run bound r must be >= 2")
-    check_cap(n, False, cap)
-    run = "1" * r
-    return sum(1 for w in iter_words(n) if run not in w)
+    return sum(count for _, count in _run_avoiding(r, n, cap))
 
 
 def oracle_zero_total(r: int, n: int, cap: int | None = None) -> int:
     """Total zeros over all length-n words with no r consecutive ones."""
-    _require_ints(r, n)
-    if r < 2:
-        raise ValueError("run bound r must be >= 2")
-    check_cap(n, False, cap)
-    run = "1" * r
-    return sum(w.count("0") for w in iter_words(n) if run not in w)
+    return sum(x * count for x, count in _run_avoiding(r, n, cap))
+
+
+def _zero_run_multisets(n: int, palindromic: bool) -> dict[tuple[int, ...], None]:
+    """The distinct sorted zero-run lengths of the length-n words (or
+    palindromes), each with one 0 per empty piece of its split at "1", in
+    order of first appearance.
+
+    With n fixed, the zero count x fixes the number of pieces, n - x + 1, so
+    the 0 entries are determined by the nonzero ones: the tuples are in
+    one-to-one correspondence with the zero-run multisets, and their sum and
+    last entry are the class (x, k).
+    """
+    return dict.fromkeys(
+        tuple(sorted(map(len, w.split("1")))) for w in _words(n, palindromic)
+    )
 
 
 def oracle_partition_classes(
@@ -148,10 +189,7 @@ def oracle_partition_classes(
 ) -> int:
     """Distinct zero-run multisets over one class; 0 when the class is empty."""
     _require_ints(n, x, k)
-    check_cap(n, palindromic, cap)
-    words = iter_palindromes(n) if palindromic else iter_words(n)
-    seen = {zero_run_multiset(w) for w in words if classify(w) == (x, k)}
-    return len(seen)
+    return oracle_partition_table(n, palindromic, cap).get((x, k), 0)
 
 
 def oracle_partition_table(
@@ -159,11 +197,11 @@ def oracle_partition_table(
 ) -> dict[tuple[int, int], int]:
     """Distinct zero-run multisets per (x, k) class, in a single sweep."""
     check_cap(n, palindromic, cap)
-    words = iter_palindromes(n) if palindromic else iter_words(n)
-    seen: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for w in words:
-        seen.setdefault(classify(w), set()).add(zero_run_multiset(w))
-    return {key: len(multisets) for key, multisets in seen.items()}
+    table: dict[tuple[int, int], int] = {}
+    for runs in _zero_run_multisets(n, palindromic):
+        key = (sum(runs), runs[-1])
+        table[key] = table.get(key, 0) + 1
+    return table
 
 
 def string_to_composition(word: str) -> tuple[int, ...]:

@@ -166,38 +166,60 @@ def _bounded_runs(k: int):
         yield window[-1]
 
 
-def _palindromic_bounded_runs(n: int, k: int) -> int:
-    """The palindromes of length n >= 0 whose zero-runs are all at most k.
+def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
+    """The palindromes of each length n in ns (all n >= 0) whose zero-runs
+    are all at most k.
 
     With n <= k every palindrome counts.  Otherwise each reads A 1 reverse(A)
     (odd n) or A 1 0^c 1 reverse(A) with c = n (mod 2) and c <= k, and its
     half A is any word of its length with runs at most k.  This is the centre
     split of palindromic._halves without the zero count: _halves yields the
     classes of one x whose longest run is exactly k, this counts runs at most
-    k over all x.  One pass of _bounded_runs to length n // 2 gives every term.
+    k over all x.  One pass of _bounded_runs to length max(ns) // 2 gives
+    every term; the window holds the half lengths one term needs.
     """
-    if n <= k:
-        return 1 << ((n + 1) // 2)
-    half = deque(islice(_bounded_runs(k), n // 2 + 1), maxlen=k // 2 + 2)
-    # the half of A 1 0^c 1 reverse(A) has length n // 2 - 1 - c // 2
-    return n % 2 * half[-1] + sum(half[-2 - c // 2] for c in range(n % 2, k + 1, 2))
+    terms = [1 << ((n + 1) // 2) for n in range(ns.start, min(ns.stop, k + 1))]
+    rest = range(max(ns.start, k + 1), ns.stop)
+    if not rest:
+        return terms
+    half = deque(maxlen=k // 2 + 2)
+    for h, b in enumerate(islice(_bounded_runs(k), rest[-1] // 2 + 1)):
+        half.append(b)
+        # the half of A 1 0^c 1 reverse(A) has length n // 2 - 1 - c // 2
+        terms.extend(n % 2 * b + sum(half[-2 - c // 2] for c in range(n % 2, k + 1, 2))
+                     for n in (2 * h, 2 * h + 1) if n in rest)
+    return terms
+
+
+def _bounded_run_terms(k: int, ns: range) -> list[int]:
+    """B_k(n) for every n in ns, all n >= 0, from one pass of _bounded_runs."""
+    # an empty ns must not start the generator, whose first step builds k + 2 terms
+    return list(islice(_bounded_runs(k), ns.start, ns.stop)) if ns else []
+
+
+def _column_terms(bounded, k: int, ns: range) -> list[int]:
+    """Column k at every n in ns: bounded(k, n) - bounded(k - 1, n) for
+    0 <= k <= n, else 0, where bounded(k, ns) lists the words (or
+    palindromes) of each length in ns whose zero-runs are all at most k."""
+    if k < 0:
+        return [0] * len(ns)
+    first = min(max(ns.start, k), ns.stop)
+    rest = range(first, ns.stop)
+    return [0] * (first - ns.start) + [
+        a - b for a, b in zip(bounded(k, rest), bounded(k - 1, rest))
+    ]
 
 
 def column_sum(n: int, k: int) -> int:
     """Sum of F(n, x, k) over x, column k of the order-n matrix: B_k(n) - B_(k-1)(n)."""
     require_ints(n, k)
-    if not 0 <= k <= n:
-        return 0
-    return (next(islice(_bounded_runs(k), n, None))
-            - next(islice(_bounded_runs(k - 1), n, None)))
+    return _column_terms(_bounded_run_terms, k, range(n, n + 1))[0]
 
 
 def palindromic_column_sum(n: int, k: int) -> int:
     """Sum of F_hat(n, x, k) over x, as column_sum over palindromes."""
     require_ints(n, k)
-    if not 0 <= k <= n:
-        return 0
-    return _palindromic_bounded_runs(n, k) - _palindromic_bounded_runs(n, k - 1)
+    return _column_terms(_palindromic_bounded_run_terms, k, range(n, n + 1))[0]
 
 
 SEQUENCE_NAMES = (
@@ -253,7 +275,7 @@ def sequence(spec: SequenceSpec) -> list[int]:
     if spec.name == "tetrahedral":
         return [F(n, 3, 1) for n in ns]
     if spec.name == "column-sum":
-        return [column_sum(n, spec.k) for n in ns]
+        return _column_terms(_bounded_run_terms, spec.k, ns)
     if spec.name == "palindromic-column-sum":
-        return [palindromic_column_sum(n, spec.k) for n in ns]
+        return _column_terms(_palindromic_bounded_run_terms, spec.k, ns)
     raise ValueError(f"unknown sequence {spec.name!r}; expected one of {SEQUENCE_NAMES}")

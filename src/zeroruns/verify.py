@@ -141,12 +141,8 @@ def _verify_runs(check: Check, max_n: int, cap: int | None) -> None:
             check.expect(o_rec == o_idn == o_orc,
                          f"O({r},{n}): rec={o_rec} idn={o_idn} oracle={o_orc}")
     for n in range(1, min(max_n, 12) + 1):
-        totals: dict[tuple[int, int], int] = {}
-        for w in oracle.iter_words(n):
-            key = oracle.classify(w)
-            totals[key] = totals.get(key, 0) + w.count("1")
-        for (x, k), ones in totals.items():
-            check.expect(seq.ones_total(n, x, k) == ones,
+        for (x, k), count in oracle.oracle_count(n, cap=cap).counts.items():
+            check.expect(seq.ones_total(n, x, k) == (n - x) * count,
                          f"ones_total({n},{x},{k})")
 
 
@@ -293,12 +289,15 @@ def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
             words = (oracle.iter_palindromes(m - 1) if palindromic
                      else oracle.iter_words(m - 1))
             direct = [0] * m
-            signs = summands = 0
+            signs = summands = twos = 0
             for w in words:
                 parts = oracle.string_to_composition(w)
-                direct[max(parts) - 1] += 1
+                largest = max(parts)
+                direct[largest - 1] += 1
                 signs += len(parts) - 1
                 summands += len(parts)
+                if palindromic and largest <= 2:
+                    twos += parts.count(2)
             dist = comp.compositions_by_largest_summand(m, palindromic)
             check.expect(tuple(direct) == dist,
                          f"largest-summand distribution m={m} pal={palindromic}")
@@ -315,12 +314,7 @@ def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
                         comp.summands_total(m, palindromic, method) == summands,
                         f"summands m={m} pal={palindromic} method={method}",
                     )
-        if m >= 2:
-            twos = 0
-            for w in oracle.iter_palindromes(m - 1):
-                parts = oracle.string_to_composition(w)
-                if max(parts) <= 2:
-                    twos += sum(1 for c in parts if c == 2)
+        if m >= 2:  # twos as counted by the palindromic pass
             check.expect(comp.two_count_palindromic(m) == twos,
                          f"palindromic two-count at m={m}")
 

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -261,3 +264,12 @@ def test_support_hat_set_is_a_support_set():
     support = zeroruns.support_hat_set(5)
     assert type(support) is zeroruns.SupportSet
     assert support.n == 5 and (3, 1) in support
+
+
+def test_import_leaves_verify_unloaded():
+    # only the verify subcommand needs zeroruns.verify; it is imported there
+    code = "import sys, zeroruns.cli; print('zeroruns.verify' in sys.modules)"
+    src = str(pathlib.Path(zeroruns.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

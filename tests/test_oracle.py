@@ -166,3 +166,82 @@ def test_palindrome_iteration(n):
     assert len(set(palindromes)) == len(palindromes)
     brute = [w for w in oracle.iter_words(n) if w == w[::-1]]
     assert sorted(palindromes) == brute
+
+
+# The per-word loops the oracle ran before it tallied each length once; they
+# stay here as references for the tally.
+def words_of(n, palindromic):
+    return oracle.iter_palindromes(n) if palindromic else oracle.iter_words(n)
+
+
+def count_by_classify(n, palindromic):
+    counts = {}
+    for w in words_of(n, palindromic):
+        key = oracle.classify(w)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def run_avoiding_by_words(r, n):
+    return [w for w in oracle.iter_words(n) if "1" * r not in w]
+
+
+def partition_table_by_words(n, palindromic):
+    seen = {}
+    for w in words_of(n, palindromic):
+        seen.setdefault(oracle.classify(w), set()).add(oracle.zero_run_multiset(w))
+    return {key: len(multisets) for key, multisets in seen.items()}
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_oracle_count_equals_per_word_loop(n):
+    if n <= 14:
+        counts = oracle.oracle_count(n).counts
+        assert counts == count_by_classify(n, False)
+        assert list(counts) == list(count_by_classify(n, False))  # same order
+    assert oracle.oracle_count(n, palindromic=True).counts == count_by_classify(n, True)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_oracle_T_and_zero_total_equal_per_word_loop(n):
+    for r in range(2, 8):
+        avoiding = run_avoiding_by_words(r, n)
+        assert oracle.oracle_T(r, n) == len(avoiding), r
+        assert oracle.oracle_zero_total(r, n) == sum(w.count("0") for w in avoiding), r
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_partition_table_equals_per_word_loop(n):
+    for palindromic in (False, True):
+        table = oracle.oracle_partition_table(n, palindromic=palindromic)
+        want = partition_table_by_words(n, palindromic)
+        assert table == want
+        assert list(table) == list(want)  # same order
+
+
+def test_cap_checked_on_a_warm_cache():
+    oracle.oracle_count(6)
+    with pytest.raises(oracle.EnumerationLimitError):
+        oracle.oracle_count(6, cap=5)
+    with pytest.raises(oracle.EnumerationLimitError):
+        oracle.oracle_T(2, 6, cap=5)
+    with pytest.raises(oracle.EnumerationLimitError):
+        oracle.oracle_zero_total(2, 6, cap=5)
+
+
+def test_results_are_fresh_dicts():
+    first = oracle.oracle_count(7)
+    first.counts.clear()
+    assert oracle.oracle_count(7).total() == 128
+    table = oracle.oracle_partition_table(7)
+    table[(0, 0)] = 99
+    assert oracle.oracle_partition_table(7)[(0, 0)] == 1
+    assert oracle.oracle_T(2, 7) == 34
+
+
+@pytest.mark.parametrize("func, good, name, bad", oracle_bad_calls())
+def test_oracle_rejects_non_int_on_a_cold_cache(func, good, name, bad):
+    oracle._tally.cache_clear()
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        func(**{**good, name: bad})
+    assert oracle._tally.cache_info().currsize == 0

@@ -175,7 +175,7 @@ def test_palindromic_bounded_runs_against_palindromes(n):
     longest = [oracle.classify(w)[1] for w in oracle.iter_palindromes(n)]
     for k in range(-1, n + 2):
         want = sum(run <= k for run in longest)
-        assert seq._palindromic_bounded_runs(n, k) == want, k
+        assert seq._palindromic_bounded_run_terms(k, range(n, n + 1)) == [want], k
 
 
 # The column quantities as sums of F and F_hat over x, as they were computed
@@ -206,6 +206,32 @@ def test_distributions_equal_F_sums(m):
     for palindromic in (False, True):
         assert (comp.compositions_by_largest_summand(m, palindromic)
                 == distribution_by_F(m, palindromic))
+
+
+def bounded_runs_by_leading_block(k, count):
+    """B_k(0) .. B_k(count - 1) by the leading block 0^i 1 with i <= k, a
+    recurrence the kernel does not use."""
+    b = []
+    for s in range(count):
+        b.append(1 << s if s <= k else sum(b[s - 1 - i] for i in range(k + 1)))
+    return b
+
+
+@pytest.mark.parametrize("k", range(-1, 9))
+def test_column_sum_ranges_equal_per_term_calls(k):
+    # ranges starting below 0, at 0, below k, at the first nonzero column
+    # entry n = k, past it, and far out
+    b_k, b_below = (bounded_runs_by_leading_block(j, 1160) for j in (k, k - 1))
+    for start in (-2, 0, 1, k, k + 1, 1000):
+        for count in (1, 2, 160):
+            ns = range(start, start + count)
+            plain = seq.sequence(seq.SequenceSpec("column-sum", start, count, k=k))
+            assert plain == [seq.column_sum(n, k) for n in ns], (start, count)
+            assert plain == [b_k[n] - b_below[n] if 0 <= k <= n else 0 for n in ns]
+            hat = seq.sequence(seq.SequenceSpec("palindromic-column-sum", start, count, k=k))
+            assert hat == [seq.palindromic_column_sum(n, k) for n in ns], (start, count)
+    hat = seq.sequence(seq.SequenceSpec("palindromic-column-sum", -2, 60, k=k))
+    assert hat == [palindromic_column_sum_by_F_hat(n, k) for n in range(-2, 58)]
 
 
 def test_column_sum_at_large_n():
