@@ -169,21 +169,6 @@ def oracle_zero_total(r: int, n: int, cap: int | None = None) -> int:
     return sum(x * count for x, count in _run_avoiding(r, n, cap))
 
 
-def _zero_run_multisets(n: int, palindromic: bool) -> dict[tuple[int, ...], None]:
-    """The distinct sorted zero-run lengths of the length-n words (or
-    palindromes), each with one 0 per empty piece of its split at "1", in
-    order of first appearance.
-
-    With n fixed, the zero count x fixes the number of pieces, n - x + 1, so
-    the 0 entries are determined by the nonzero ones: the tuples are in
-    one-to-one correspondence with the zero-run multisets, and their sum and
-    last entry are the class (x, k).
-    """
-    return dict.fromkeys(
-        tuple(sorted(map(len, w.split("1")))) for w in _words(n, palindromic)
-    )
-
-
 def oracle_partition_classes(
     n: int, x: int, k: int, palindromic: bool = False, cap: int | None = None
 ) -> int:
@@ -197,8 +182,15 @@ def oracle_partition_table(
 ) -> dict[tuple[int, int], int]:
     """Distinct zero-run multisets per (x, k) class, in a single sweep."""
     check_cap(n, palindromic, cap)
+    # Sorted piece lengths of the split at "1", empty pieces included: at
+    # fixed n the x zeros fix the piece count n - x + 1, so these tuples are
+    # one-to-one with the zero-run multisets; their sum and last entry are
+    # the class (x, k).
+    multisets = dict.fromkeys(
+        tuple(sorted(map(len, w.split("1")))) for w in _words(n, palindromic)
+    )
     table: dict[tuple[int, int], int] = {}
-    for runs in _zero_run_multisets(n, palindromic):
+    for runs in multisets:
         key = (sum(runs), runs[-1])
         table[key] = table.get(key, 0) + 1
     return table
