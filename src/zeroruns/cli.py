@@ -3,7 +3,8 @@
 Output formats: json (one canonical object per run, byte-stable), csv (one
 flat table with a header row) and plain (minimal human-readable lines).
 Counts are always printed in full decimal.  Exit status: 0 on success, 1 when
-`verify` finds a failing check, 2 on usage errors, 3 on an internal error.
+`verify` finds a failing check, 2 on usage errors, 3 on an internal error,
+141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
 """
 
 from __future__ import annotations
@@ -281,7 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, oracle.EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

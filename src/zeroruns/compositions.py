@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .palindromic import F_hat, _halves, support_hat_set
-from .runcount import F, feasible, not_ints, require_ints, support_set
+from .palindromic import F_hat, _halves
+from .runcount import F, feasible, not_ints, require_ints
 from .sequences import column_sum, palindromic_column_sum
 
 __all__ = [
@@ -141,9 +141,11 @@ def _classes(t: int, a: int, b: int) -> int:
 
 
 def P_total(n: int) -> int:
-    """Sum of P over the support of n: the number of partitions of n + 1."""
+    """The number of partitions of n + 1: summed over k, P(n, x, k) counts the
+    partitions of x into at most n - x + 1 parts, one kernel call per x
+    (Andrews, The Theory of Partitions, ch. 3)."""
     require_ints(n)
-    return sum(P(n, x, k) for (x, k) in support_set(n).pairs)
+    return sum(_bounded_partitions(x, n - x + 1, x) for x in range(n + 1))
 
 
 def partition_function(m: int) -> int:
@@ -157,18 +159,12 @@ def partition_function(m: int) -> int:
         return 0
     p = [1] + [0] * m
     for i in range(1, m + 1):
-        total, j = 0, 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > i:
-                break
-            sign = 1 if j % 2 else -1
-            total += sign * p[i - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= i:
-                total += sign * p[i - g2]
+        # pentagonal numbers g = j(3j - 1)/2 and g + j, signed + + - - ...
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= i:
+            term = p[i - g] + (p[i - g - j] if g + j <= i else 0)
+            p[i] += term if j % 2 else -term
             j += 1
-        p[i] = total
     return p[m]
 
 
@@ -190,9 +186,12 @@ def P_hat(n: int, x: int, k: int) -> int:
 
 
 def P_hat_total(n: int) -> int:
-    """Sum of P_hat over the palindromic support of n."""
+    """Palindromic partition classes of n: 1 + sum_{h < n/2} P_total(h).  Each
+    palindrome but 0^n reads A 1 0^c 1 reverse(A), or A 1 reverse(A) for odd n
+    (palindromic._halves): its multiset is A's doubled plus c, the one part of
+    odd multiplicity, and each h < n/2 comes from one c (Andrews, ch. 3)."""
     require_ints(n)
-    return sum(P_hat(n, x, k) for (x, k) in support_hat_set(n).pairs)
+    return (n >= 0) + sum(P_total(h) for h in range((n + 1) // 2))
 
 
 def p_hat_two_printed(n: int, x: int) -> int | None:

@@ -393,9 +393,11 @@ _SUITES: dict[str, list[tuple[str, Callable]]] = {
 def run_checks(max_n: int, suite: str = "all", cap: int | None = None):
     """Run the checks of one suite, or of all, yielding each Check as it ends.
 
-    Raises ValueError for max_n < 0 before any check runs."""
+    Raises ValueError for max_n < 0 or cap < 0 before any check runs."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"oracle cap must be >= 0, got {cap}")
     names = list(_SUITES) if suite == "all" else [suite]
     for suite_name in names:
         for check_name, func in _SUITES[suite_name]:

@@ -210,6 +210,16 @@ def test_verify_negative_max_n_runs_no_check(capsys, fmt):
     assert err == "error: max_n must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_negative_cap_runs_no_check(capsys, monkeypatch, fmt):
+    code, out, err = run(capsys, "verify", "--oracle-cap", "-1", "--max-n", "3",
+                         "--format", fmt)
+    assert (code, out, err) == (2, "", "error: oracle cap must be >= 0, got -1\n")
+    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "-1")
+    code, out, err = run(capsys, "verify", "--max-n", "3", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: oracle cap must be >= 0, got -1\n")
+
+
 def test_verify_cap_failure_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
                        "--oracle-cap", "4")
@@ -273,3 +283,17 @@ def test_import_leaves_verify_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line of about 3000 and closes the pipe
+    argv = ["seq", "t-run", "--from", "1", "--count", "3000", "--format", "csv"]
+    src = str(pathlib.Path(zeroruns.__file__).parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "zeroruns.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"n,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

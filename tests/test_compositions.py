@@ -255,6 +255,28 @@ def test_P_total_example():
     assert comp.P_total(0) == 1
 
 
+def P_total_per_cell(n):
+    return sum(comp.P(n, x, k) for x, k in support_set(n).pairs)
+
+
+def P_hat_total_per_cell(n):
+    return sum(comp.P_hat(n, x, k) for x, k in pal.support_hat_set(n).pairs)
+
+
+def test_totals_equal_per_cell_sums():
+    for n in range(-3, 61):
+        assert comp.P_total(n) == P_total_per_cell(n), n
+        assert comp.P_hat_total(n) == P_hat_total_per_cell(n), n
+
+
+def test_totals_at_large_n():
+    assert comp.P_total(300) == comp.partition_function(301)
+    for n in (300, 301):
+        ceil_half = (n + 1) // 2
+        want = sum(comp.partition_function(m) for m in range(ceil_half + 1))
+        assert comp.P_hat_total(n) == want, n
+
+
 @pytest.mark.parametrize("n", range(0, 15))
 def test_support_size_vs_partition_total(n):
     size = len(support_set(n))
