@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .palindromic import F_hat
 from .runcount import F, require_ints
@@ -23,8 +23,7 @@ __all__ = [
 _KINDS = ("plain", "palindromic")
 
 
-@dataclass(frozen=True)
-class CountMatrix:
+class CountMatrix(NamedTuple):
     """(n+1) x (n+1) lower-triangular matrix with entry (x, k) a class count."""
 
     n: int

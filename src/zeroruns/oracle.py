@@ -15,9 +15,8 @@ public call builds a fresh result from the cached tally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "DEFAULT_PLAIN_CAP",
@@ -47,7 +46,7 @@ class EnumerationLimitError(Exception):
 
 
 def _check_word(word: str) -> None:
-    if word.strip("01"):
+    if type(word) is not str or word.strip("01"):
         raise ValueError(f"not a binary word: {word!r}")
 
 
@@ -105,8 +104,7 @@ def iter_palindromes(n: int) -> Iterator[str]:
         yield h + (h[-2::-1] if n % 2 else h[::-1])
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(NamedTuple):
     """Enumerated counts per (x, k) class; absent keys mean an empty class."""
 
     n: int
@@ -213,6 +211,7 @@ def composition_to_string(composition) -> str:
     parts = tuple(composition)
     if not parts:
         raise ValueError("a composition needs at least one summand")
+    _require_ints(*parts)
     if any(c < 1 for c in parts):
         raise ValueError(f"summands must be positive: {parts}")
     return "1".join("0" * (c - 1) for c in parts)

@@ -8,8 +8,8 @@ result is an exact Python integer; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "binomial",
@@ -167,8 +167,7 @@ def F(n: int, x: int, k: int) -> int:
     return _bounded(n, x, k) - _bounded(n, x, k - 1)
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     """All (x, k) pairs with a nonzero count for one fixed n: F(n, x, k) > 0
     from support_set, F_hat(n, x, k) > 0 from palindromic.support_hat_set."""
 

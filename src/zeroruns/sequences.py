@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .runcount import F, require_ints
 
@@ -234,8 +234,7 @@ SEQUENCE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A catalogued sequence request: name, parameters and an index range.
 
     r feeds t-run / o-run, k the column sums, x the oblong slice; each is

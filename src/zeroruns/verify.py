@@ -285,19 +285,19 @@ def _verify_column_sum_lists(check: Check, max_n: int, cap: int | None) -> None:
 def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
     oracle.check_cap(max_n, False, cap)  # words of length m - 1 <= max_n
     for m in range(1, max_n + 2):
+        # A word of length n = m - 1 in class (x, k) maps to a composition
+        # with largest summand k + 1 and n - x + 1 summands; when k <= 1,
+        # each zero is a summand 2.
+        n = m - 1
         for palindromic in (False, True):
-            words = (oracle.iter_palindromes(m - 1) if palindromic
-                     else oracle.iter_words(m - 1))
             direct = [0] * m
             signs = summands = twos = 0
-            for w in words:
-                parts = oracle.string_to_composition(w)
-                largest = max(parts)
-                direct[largest - 1] += 1
-                signs += len(parts) - 1
-                summands += len(parts)
-                if palindromic and largest <= 2:
-                    twos += parts.count(2)
+            for (x, k), c in oracle.oracle_count(n, palindromic, cap).counts.items():
+                direct[k] += c
+                signs += (n - x) * c
+                summands += (n - x + 1) * c
+                if palindromic and k <= 1:
+                    twos += x * c
             dist = comp.compositions_by_largest_summand(m, palindromic)
             check.expect(tuple(direct) == dist,
                          f"largest-summand distribution m={m} pal={palindromic}")

@@ -276,13 +276,34 @@ def test_support_hat_set_is_a_support_set():
     assert support.n == 5 and (3, 1) in support
 
 
+def test_records_are_immutable_tuples_with_their_methods():
+    spec = zeroruns.SequenceSpec("t-run", 1, 3)
+    assert repr(spec) == "SequenceSpec(name='t-run', start=1, count=3, r=2, k=1, x=3)"
+    assert spec == zeroruns.SequenceSpec(name="t-run", start=1, count=3, r=2, k=1, x=3)
+    assert (spec.count, spec.r, spec.k, spec.x) == (3, 2, 1, 3)
+    table = zeroruns.oracle_count(4)
+    # ClassTable.count(x, k) is the class count, not tuple.count
+    assert (table.count(2, 1), table.count(4, 5), table.total()) == (3, 0, 16)
+    support = zeroruns.support_set(4)
+    assert len(support) == len(support.pairs) == 7
+    assert (2, 1) in support and (4, 0) not in support and 4 not in support
+    matrix = zeroruns.build_matrix(3)
+    assert len(matrix) == 3 and matrix.entry(3, 3) == 1
+    for record, field in ((spec, "r"), (table, "n"), (support, "n"), (matrix, "rows")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_import_leaves_verify_unloaded():
-    # only the verify subcommand needs zeroruns.verify; it is imported there
-    code = "import sys, zeroruns.cli; print('zeroruns.verify' in sys.modules)"
+    # only the verify subcommand needs zeroruns.verify; it is imported there.
+    # The records are NamedTuples, so start-up pays for neither dataclasses
+    # nor the inspect module it imports.
+    code = ("import sys, zeroruns.cli; print([m for m in ('zeroruns.verify',"
+            " 'dataclasses', 'inspect') if m in sys.modules])")
     src = str(pathlib.Path(zeroruns.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_closed_stdout_exits_141_quietly():

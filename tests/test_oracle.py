@@ -81,12 +81,21 @@ def oracle_bad_calls():
             for bad in (float(value), Fraction(value), str(value), bool(value)):
                 yield pytest.param(func, good, name, bad,
                                    id=f"{func.__name__}-{name}={bad!r}")
+    for func in (oracle.classify, oracle.zero_run_multiset,
+                 oracle.string_to_composition):
+        for bad in (5, None, b"01"):
+            yield pytest.param(func, {"word": "0110"}, "word", bad,
+                               id=f"{func.__name__}-word={bad!r}")
+    for bad in ((True,), (1.5,), (2.0, 1)):
+        yield pytest.param(oracle.composition_to_string, {"composition": (2, 1)},
+                           "composition", bad, id=f"composition_to_string-{bad!r}")
 
 
 @pytest.mark.parametrize("func, good, name, bad", oracle_bad_calls())
 def test_oracle_rejects_non_int(func, good, name, bad):
     func(**good)
-    # the oracle checks types itself: 5.0 would otherwise reach 1 << n
+    # the oracle checks types itself: 5.0 would otherwise reach 1 << n,
+    # and 5 a str method
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         func(**{**good, name: bad})
 
