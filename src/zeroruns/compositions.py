@@ -197,11 +197,14 @@ def P_hat_total(n: int) -> int:
 def p_hat_two_printed(n: int, x: int) -> int | None:
     """The printed piecewise rules for palindromic k = 2 classes, verbatim.
 
-    Returns None when no printed case matches (wrong parity or negative
-    slack i).  These rules are claims under test: P_hat stays authoritative,
-    and the verification suite reports every disagreement.
+    Returns None when no printed case matches (x outside 0 <= x <= n, wrong
+    parity or negative slack i).  These rules are claims under test: P_hat
+    stays authoritative, and the verification suite reports every
+    disagreement.
     """
     require_ints(n, x)
+    if not 0 <= x <= n:
+        return None
     if n % 2:
         m = (n - 1) // 2
         if x % 2 == 0:

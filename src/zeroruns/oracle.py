@@ -208,7 +208,10 @@ def string_to_composition(word: str) -> tuple[int, ...]:
 
 def composition_to_string(composition) -> str:
     """Inverse of string_to_composition: the word of length sum - 1."""
-    parts = tuple(composition)
+    try:
+        parts = tuple(composition)
+    except TypeError:
+        raise ValueError(f"a composition is a sequence of summands, got {composition!r}") from None
     if not parts:
         raise ValueError("a composition needs at least one summand")
     _require_ints(*parts)

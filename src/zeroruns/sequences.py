@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from .runcount import F, require_ints
@@ -34,115 +35,131 @@ def fib_f(n: int) -> int:
     return b
 
 
-def _nth_term(poly: list[int], init: list[int], n: int) -> int:
-    """Term n >= len(init) of a sequence annihilated by the monic poly.
+def _square(p: list[int]) -> list[int]:
+    """The square of the polynomial with coefficients p (from x^0 up), using
+    the symmetry of the products: about len(p)^2 / 2 of them."""
+    sq = [0] * (2 * len(p) - 1)
+    for i, a in enumerate(p):
+        sq[2 * i] += a * a
+        a2 = a << 1
+        for j in range(i + 1, len(p)):
+            sq[i + j] += a2 * p[j]
+    return sq
 
-    poly lists the coefficients from x^0 up to its leading 1, so that
-    sum_i poly[i] * a_(m+i) == 0 for every m >= 0, and init holds a_0..a_(d-1)
-    for d = deg poly.  Short of about d * log2(n) steps past init, the
-    recurrence is stepped with a window of d terms.  Otherwise the answer is
-    the dot product of init with x^n mod poly, found by square-and-multiply
-    (Fiduccia, SIAM J. Comput. 14, 1985): about d^2 log2(n) products of
-    numbers of at most n bits.  Either way O(d) numbers are held at a time.
-    """
+
+def _mod(p: list[int], poly: list[int]) -> list[int]:
+    """p mod the monic poly; both list coefficients from x^0 up (p is spent)."""
     d = len(poly) - 1
-    if n - d <= d * n.bit_length():
-        return next(islice(_stepped(poly, init), n, None))
-    rem = [1] + [0] * (d - 1)
+    for i in range(len(p) - 1, d - 1, -1):
+        top = p[i]
+        for j in range(d):
+            p[i - d + j] -= top * poly[j]
+    return p[:d]
+
+
+def _x_powers_mod(poly: list[int], n: int):
+    """x^n, x^(n+1), ... mod the monic poly of degree d.  The first comes by
+    square-and-multiply (Fiduccia, SIAM J. Comput. 14, 1985), about d^2 / 2
+    products per bit of n; each later one is the one before times x, d more."""
+    rem = [1]
     for bit in bin(n)[2:]:
-        sq = [0] * (2 * d - 1)
-        for i, a in enumerate(rem):
-            sq[2 * i] += a * a
-            a2 = a << 1
-            for j in range(i + 1, d):
-                sq[i + j] += a2 * rem[j]
-        if bit == "1":
-            sq.insert(0, 0)
-        for i in range(len(sq) - 1, d - 1, -1):
-            top = sq[i]
-            for j in range(d):
-                sq[i - d + j] -= top * poly[j]
-        rem = sq[:d]
-    return sum(c * a for c, a in zip(rem, init))
-
-
-def _stepped(poly: list[int], init: list[int]):
-    """init, then every later term of the sequence annihilated by the monic
-    poly (see _nth_term), each from the window of the d terms before it."""
-    yield from init
-    window = init
+        rem = _mod([0] * (bit == "1") + _square(rem), poly)
     while True:
-        window = window[1:] + [-sum(c * a for c, a in zip(poly, window))]
-        yield window[-1]
+        yield rem
+        rem = _mod([0] + rem, poly)
 
 
-def _o_head(r: int, count: int) -> list[int]:
-    """O(r, s) for s < count by the short recurrence, with O(r, 0) = 0."""
-    t, o = [1], [0]  # T(r, 0) = 1
-    for m in range(1, count):
-        t.append(1 << m if m < r else sum(t[-r:]))
-        o.append(m << (m - 1) if m <= r else sum(o[-r:]) + t[m])
-    return o
+def _run_terms(r: int, power: int, ns: range):
+    """T(r, n) (power 1) or O(r, n) (power 2) for each n in ns; n >= 0, r >= 0.
+
+    A word of length n < r holds no run of r ones, so r is first clipped to
+    ns.stop and no cost grows with r beyond it; r = k + 1 gives B_k, and
+    r = 0 the zero sequence.  Up to s = r the terms are closed forms,
+    T(r, s) = 2^s - [s = r] and O(r, s) = s 2^(s-1), which a range ending
+    there takes directly.  From them, windows of r + 1 terms are stepped by
+        T(s) = 2 T(s-1) - T(s-r-1),
+        O(s) = 2 O(s-1) - O(s-r-1) + T(s-1) - T(s-r-1),
+    the differences of T(s) = sum T(s-i) and O(s) = sum O(s-i) + T(s-i) over
+    1 <= i <= r (split each word after its first zero; Schilling, "The
+    Longest Run of Heads", 1990): a step is a few additions of numbers of at
+    most n bits, so reaching n costs about n^2 bit operations.
+
+    A far start, 4 * ns.start > power * r^4 + 256 r, is jumped to instead.
+    c(x) = x^r - x^(r-1) - ... - 1 annihilates T, and c(x)^2 both T and O,
+    from s = 0, so term s is the dot product of the first d = power * r terms
+    with x^s mod c^power (see _x_powers_mod): about d^2 log2(s) products of
+    s-bit numbers.  The windows at ns.start take r + 1 such remainders, or
+    as many as the range has terms, and stepping goes on from there.  The
+    rule is the measured crossover: r^4 for the squarings at large r, 256 r
+    for the fixed cost of a jump at small r.  Over 1 <= r <= 40 and
+    32 <= n <= 1.3 * 10^5 it chose within 1.4 times the faster path (single
+    terms, 2 cores, Python 3.11).
+    """
+    r = min(r, ns.stop)
+    heads = (lambda s: (1 << s) - (s == r), lambda s: s << s >> 1)[:power]
+    if ns.stop <= r + 1:
+        # a window here would hold every term up to 2^r, O(r^2) bits
+        yield from map(heads[-1], ns)
+        return
+    first = 0  # the index of each window's oldest term
+    if 4 * ns.start > power * r**4 + 256 * r:
+        first = ns.start
+        c = [-1] * r + [1]
+        inits = [list(_run_terms(r, p, range(power * r))) for p in range(1, power + 1)]
+        windows = [deque(maxlen=r + 1) for _ in inits]
+        for rem in islice(_x_powers_mod(_square(c) if power == 2 else c, first),
+                          min(len(ns), r + 1)):
+            for window, init in zip(windows, inits):
+                window.append(sum(map(mul, rem, init)))
+    else:
+        windows = [deque(map(head, range(r + 1)), maxlen=r + 1) for head in heads]
+    t, out = windows[0], windows[-1]
+    yield from islice(out, ns.start - first, ns.stop - first)
+    for s in range(first + r + 1, ns.stop):
+        step = t[-1] - t[0]
+        if power == 2:
+            out.append(2 * out[-1] - out[0] + step)
+        t.append(t[-1] + step)
+        if s >= ns.start:
+            yield out[-1]
 
 
-def _run_poly(r: int) -> list[int]:
-    """c(x) = x^r - x^(r-1) - ... - 1, which annihilates T(r, s) from s = 0."""
-    return [-1] * r + [1]
-
-
-def _o_poly(r: int) -> list[int]:
-    """c(x)^2, which annihilates O(r, s) from s = 0 (see O)."""
-    c = _run_poly(r)
-    return [sum(c[j] * c[i - j] for j in range(max(0, i - r), min(i, r) + 1))
-            for i in range(2 * r + 1)]
+def _run_counts(name: str, r: int, ns: range, method: str) -> list[int]:
+    """T(r, n) (name "T") or O(r, n) (name "O") for every n in ns."""
+    if r < 2:
+        raise ValueError(f"{name} is defined for r >= 2")
+    if ns.start < 1:
+        raise ValueError(f"{name} is defined for n >= 1")
+    zeros = name == "O"
+    if method == "recurrence":
+        return list(_run_terms(r, 1 + zeros, ns))
+    if method == "identity":
+        # k = 0 counts the all-ones word: F(n, 0, 0) = 1
+        return [sum((n - x if zeros else 1) * F(n, x, k)
+                    for k in range(r) for x in range(k, n + 1)) for n in ns]
+    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 
 def T(r: int, n: int, method: str = "recurrence") -> int:
     """Number of length-n words with no r consecutive ones (r >= 2).
 
-    Two paths: the r-step linear recurrence T(r, s) = sum T(r, s - i) over
-    1 <= i <= r with T(r, s) = 2^s for s < r (default; see _nth_term), or the
-    identity 1 + sum F(n, x, k) over 1 <= k <= r-1 which counts by longest
-    zero-run of the complement; the two must agree.
+    Two paths: the recurrence of _run_terms (default), or the identity
+    sum F(n, x, k) over 0 <= k <= r-1, which counts by longest zero-run of
+    the complement; the two must agree.
     """
     require_ints(r, n)
-    if r < 2:
-        raise ValueError("T is defined for r >= 2")
-    if n < 1:
-        raise ValueError("T is defined for n >= 1")
-    if method == "recurrence":
-        if n < r:
-            return 1 << n
-        return _nth_term(_run_poly(r), [1 << s for s in range(r)], n)
-    if method == "identity":
-        return 1 + sum(F(n, x, k) for k in range(1, r) for x in range(k, n + 1))
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return _run_counts("T", r, range(n, n + 1), method)[0]
 
 
 def O(r: int, n: int, method: str = "recurrence") -> int:
     """Total zeros over all length-n words with no r consecutive ones.
 
-    Default path is the recurrence O(r,n) = sum O(r,n-i) + T(r,n) with
-    O(r,s) = s*2^(s-1) for s <= r.  Its first 2r terms are stepped directly;
-    beyond them c(x)^2 annihilates O, because c(E) O(r, .) is T(r, . + r),
-    which c(E) annihilates (see _nth_term).  The identity path sums the
-    per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1.
+    Default path is the recurrence of _run_terms, which follows from the
+    paper's O(r, n) = sum O(r, n-i) + T(r, n) over 1 <= i <= r.  The identity
+    path sums the per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1.
     """
     require_ints(r, n)
-    if r < 2:
-        raise ValueError("O is defined for r >= 2")
-    if n < 1:
-        raise ValueError("O is defined for n >= 1")
-    if method == "recurrence":
-        head = _o_head(r, min(n + 1, 2 * r))
-        if n < 2 * r:
-            return head[n]
-        return _nth_term(_o_poly(r), head, n)
-    if method == "identity":
-        return sum(
-            (n - x) * F(n, x, k) for k in range(r) for x in range(k, n + 1)
-        )
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return _run_counts("O", r, range(n, n + 1), method)[0]
 
 
 def ones_total(n: int, x: int, k: int) -> int:
@@ -151,19 +168,6 @@ def ones_total(n: int, x: int, k: int) -> int:
     if not 0 <= k <= x <= n:
         raise ValueError(f"ones_total needs 0 <= k <= x <= n, got ({n}, {x}, {k})")
     return (n - x) * F(n, x, k)
-
-
-def _bounded_runs(k: int):
-    """B_k(0), B_k(1), ...: the words of each length whose zero-runs are all
-    at most k, by B_k(s) = 2 B_k(s-1) - B_k(s-k-2) (Schilling, "The Longest
-    Run of Heads", 1990) from B_k(s) = 2^s for s <= k and
-    B_k(k+1) = 2^(k+1) - 1.  A window of k + 2 terms is held; k = -1 gives
-    all zeros."""
-    window = deque([1 << s for s in range(k + 1)] + [(1 << (k + 1)) - 1], maxlen=k + 2)
-    yield from window
-    while True:
-        window.append(2 * window[-1] - window[0])
-        yield window[-1]
 
 
 def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
@@ -175,7 +179,7 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
     half A is any word of its length with runs at most k.  This is the centre
     split of palindromic._halves without the zero count: _halves yields the
     classes of one x whose longest run is exactly k, this counts runs at most
-    k over all x.  One pass of _bounded_runs to length max(ns) // 2 gives
+    k over all x.  One pass of B_k (_run_terms) to length max(ns) // 2 gives
     every term; the window holds the half lengths one term needs.
     """
     terms = [1 << ((n + 1) // 2) for n in range(ns.start, min(ns.stop, k + 1))]
@@ -183,7 +187,7 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
     if not rest:
         return terms
     half = deque(maxlen=k // 2 + 2)
-    for h, b in enumerate(islice(_bounded_runs(k), rest[-1] // 2 + 1)):
+    for h, b in enumerate(_run_terms(k + 1, 1, range(rest[-1] // 2 + 1))):
         half.append(b)
         # the half of A 1 0^c 1 reverse(A) has length n // 2 - 1 - c // 2
         terms.extend(n % 2 * b + sum(half[-2 - c // 2] for c in range(n % 2, k + 1, 2))
@@ -192,9 +196,8 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
 
 
 def _bounded_run_terms(k: int, ns: range) -> list[int]:
-    """B_k(n) for every n in ns, all n >= 0, from one pass of _bounded_runs."""
-    # an empty ns must not start the generator, whose first step builds k + 2 terms
-    return list(islice(_bounded_runs(k), ns.start, ns.stop)) if ns else []
+    """B_k(n) = T(k + 1, n) for every n in ns, all n >= 0 (see _run_terms)."""
+    return list(_run_terms(k + 1, 1, ns))
 
 
 def _column_terms(bounded, k: int, ns: range) -> list[int]:
@@ -258,13 +261,9 @@ def sequence(spec: SequenceSpec) -> list[int]:
     if spec.name == "fibonacci-f":
         return [fib_f(n) for n in ns]
     if spec.name == "t-run":
-        # the first r terms by T (at least one, so that T rejects r < 2),
-        # the rest by the recurrence
-        head = [T(spec.r, n) for n in ns[:max(spec.r, 1)]]
-        return list(islice(_stepped(_run_poly(spec.r), head), spec.count))
+        return _run_counts("T", spec.r, ns, "recurrence")
     if spec.name == "o-run":
-        head = [O(spec.r, n) for n in ns[:max(2 * spec.r, 1)]]
-        return list(islice(_stepped(_o_poly(spec.r), head), spec.count))
+        return _run_counts("O", spec.r, ns, "recurrence")
     if spec.name == "triangular":
         return [F(n, 2, 1) for n in ns]
     if spec.name == "oblong":

@@ -334,3 +334,11 @@ def test_printed_palindromic_two_rules():
         printed = comp.p_hat_two_printed(n, x)
         truth = comp.P_hat(n, x, 2)
         assert printed is not None and printed < truth, (n, x)
+
+
+@pytest.mark.parametrize("n", range(-4, 30))
+def test_printed_palindromic_two_rules_outside_the_triangle(n):
+    # no printed case covers a zero count outside 0 <= x <= n; the rules once
+    # gave negative counts there, e.g. -1 at (0, -4) and -2 at (-3, -5)
+    for x in [*range(-6, 0), *range(max(n + 1, 0), 32)]:
+        assert comp.p_hat_two_printed(n, x) is None, x

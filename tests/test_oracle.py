@@ -86,7 +86,7 @@ def oracle_bad_calls():
         for bad in (5, None, b"01"):
             yield pytest.param(func, {"word": "0110"}, "word", bad,
                                id=f"{func.__name__}-word={bad!r}")
-    for bad in ((True,), (1.5,), (2.0, 1)):
+    for bad in ((True,), (1.5,), (2.0, 1), 5):
         yield pytest.param(oracle.composition_to_string, {"composition": (2, 1)},
                            "composition", bad, id=f"composition_to_string-{bad!r}")
 

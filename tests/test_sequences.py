@@ -1,4 +1,4 @@
-from itertools import islice
+import time
 
 import pytest
 
@@ -63,16 +63,44 @@ def list_recurrence(r, n):
     return t, o
 
 
+# The first n that _run_terms jumps to by square-and-multiply instead of
+# stepping, 4 n > p r^4 + 256 r with p = 1 for T and 2 for O:
+#   r    2    3    4    5     6     7     8    13      40
+#   T  133  213  321  477   709  1049  1537  7973  642561
+#   O  137  233  385  633  1033  1649  2561 15113 1282561
+FIRST_FAR = {2: (133, 137), 3: (213, 233), 4: (321, 385), 5: (477, 633),
+             6: (709, 1033), 7: (1049, 1649), 8: (1537, 2561), 13: (7973, 15113)}
+
+
+@pytest.mark.parametrize("r", sorted(FIRST_FAR))
+def test_first_far_n(r, monkeypatch):
+    jumps = []
+    jump = seq._x_powers_mod
+
+    def spy(poly, n):
+        jumps.append(n)
+        return jump(poly, n)
+
+    monkeypatch.setattr(seq, "_x_powers_mod", spy)
+    for power, m in enumerate(FIRST_FAR[r], 1):
+        for n in (m - 1, m):
+            list(seq._run_terms(r, power, range(n, n + 1)))
+    assert jumps == list(FIRST_FAR[r])
+
+
 @pytest.mark.parametrize("r", range(2, 9))
 def test_T_and_O_match_list_recurrence(r):
-    # covers n < r, n = r and, for O, n < 2r, on both sides of the switch
-    # from stepping to square-and-multiply
-    t, o = list_recurrence(r, 400)
-    assert [seq.T(r, n) for n in range(1, 401)] == t[1:]
-    assert [seq.O(r, n) for n in range(1, 401)] == o[1:]
+    # covers n < r, n = r, n < 2r, and each side of the first far n
+    t, o = list_recurrence(r, 2600)
+    ns = [*range(1, 401), *(m + i for m in FIRST_FAR[r] for i in (-1, 0, 1)), 2600]
+    assert [seq.T(r, n) for n in ns] == [t[n] for n in ns]
+    assert [seq.O(r, n) for n in ns] == [o[n] for n in ns]
 
 
-@pytest.mark.parametrize("r, n", [(40, 45), (40, 79), (40, 80), (40, 300), (40, 1500)])
+# r = 13 on each side of its first far n; r = 40 would first jump at
+# n = 642561, beyond the reach of list_recurrence, so it is stepped here
+@pytest.mark.parametrize("r, n", [(40, 45), (40, 79), (40, 80), (40, 300), (40, 1500),
+                                  (13, 7972), (13, 7973), (13, 15112), (13, 15113)])
 def test_T_and_O_match_list_recurrence_at_large_r(r, n):
     t, o = list_recurrence(r, n)
     assert seq.T(r, n) == t[n]
@@ -81,10 +109,10 @@ def test_T_and_O_match_list_recurrence_at_large_r(r, n):
 
 @pytest.mark.parametrize("r", range(2, 7))
 def test_run_ranges_equal_per_term_calls(r):
-    # ranges starting below r and below 2r, and one that crosses the switch
-    # in _nth_term from stepping to square-and-multiply (n ~ 10..100 here)
+    # ranges starting below r and below 2r, one that steps past the first far
+    # n (FIRST_FAR), and far starts
     for start, count in [(1, 1), (1, 2 * r + 3), (r - 1, 40), (2 * r - 1, 40),
-                         (1, 160), (1000, 6)]:
+                         (1, 160), (1000, 6), (30000, 3), (20000, 3)]:
         for name, term in (("t-run", seq.T), ("o-run", seq.O)):
             spec = seq.SequenceSpec(name, start, count, r=r)
             want = [term(r, n) for n in range(start, start + count)]
@@ -156,13 +184,14 @@ def test_sequence_column_sums():
 
 def bounded_runs(k, count):
     """B_k(0) .. B_k(count - 1) from the kernel."""
-    return list(islice(seq._bounded_runs(k), count))
+    return list(seq._run_terms(k + 1, 1, range(count)))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_bounded_runs_equal_T(k):
-    # zero-runs at most k is no k + 1 consecutive zeros: T(k + 1, s) by symmetry
-    assert bounded_runs(k, 201)[1:] == [seq.T(k + 1, s) for s in range(1, 201)]
+    # zero-runs at most k is no k + 1 consecutive zeros: T(k + 1, s) by
+    # symmetry, here from list_recurrence, which shares no code with the kernel
+    assert bounded_runs(k, 201) == list_recurrence(k + 1, 200)[0]
 
 
 def test_bounded_runs_at_k_0_and_minus_1():
@@ -266,6 +295,22 @@ def test_sequence_oblong():
 def test_sequence_tetrahedral():
     spec = seq.SequenceSpec("tetrahedral", start=5, count=5)
     assert seq.sequence(spec) == [1, 4, 10, 20, 35]
+
+
+@pytest.mark.parametrize("r", [10**4, 10**6])
+def test_runs_at_huge_r_cost_what_n_costs(r):
+    # no word of length n < r holds r ones in a row, so every word counts
+    began = time.perf_counter()
+    for n in range(1, 6):
+        assert seq.T(r, n) == 2**n
+        assert seq.O(r, n) == n * 2 ** (n - 1)
+    ns = range(1, 4)
+    assert seq.sequence(seq.SequenceSpec("t-run", 1, 3, r=r)) == [2**n for n in ns]
+    assert seq.sequence(seq.SequenceSpec("o-run", 1, 3, r=r)) == [n * 2 ** (n - 1) for n in ns]
+    # up to n = r only the all-ones word of length r is barred
+    assert seq.T(r, r - 1) == 1 << (r - 1) and seq.T(r, r) == (1 << r) - 1
+    assert seq.O(r, r) == r << (r - 1)
+    assert time.perf_counter() - began < 1
 
 
 def test_sequence_fibonacci_and_runs():
