@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .palindromic import F_hat, _halves
 from .runcount import F, feasible, not_ints, require_ints
-from .sequences import column_sum, palindromic_column_sum
+from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
 
 __all__ = [
     "compositions_by_largest_summand",
@@ -33,12 +33,16 @@ _METHODS = ("formula", "fsum")
 
 def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[int, ...]:
     """counts[s-1] = number of (palindromic) compositions of m with largest
-    summand exactly s, i.e. column sum s - 1 of the order-(m-1) count matrix."""
+    summand exactly s, i.e. column sum s - 1 of the order-(m-1) count matrix:
+    B_(s-1)(m-1) - B_(s-2)(m-1), the words (or palindromes) whose zero-runs
+    are all at most s - 1 less those at most s - 2.  Each B_k is taken once;
+    B_(-1) is 0, so column 0 is B_0, the all-ones word."""
     require_ints(m)
     if m < 1:
         raise ValueError("compositions are defined for m >= 1")
-    column = palindromic_column_sum if palindromic else column_sum
-    return tuple(column(m - 1, k) for k in range(m))
+    bounded = _palindromic_bounded_run_terms if palindromic else _bounded_run_terms
+    totals = [0] + [bounded(k, range(m - 1, m))[0] for k in range(m)]
+    return tuple(b - a for a, b in zip(totals, totals[1:]))
 
 
 def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula") -> int:

@@ -5,11 +5,11 @@ half words in the palindromic case -- so lengths are capped.  The caps are
 per-call arguments with module-level defaults, not hard constants: the oracle
 is a validation tool, not the production path.
 
-Each length is walked once: _tally counts the words of one (n, palindromic)
-by zero count, longest zero-run and longest one-run, and is cached, so
-oracle_count, oracle_T and oracle_zero_total at one n share a single sweep.
-Arguments and caps are checked before the cache is consulted, and every
-public call builds a fresh result from the cached tally.
+Each length is walked once: _tally reads each word of one (n, palindromic)
+as its zero-run multiset and its longest one-run, and caches two tables that
+every oracle_* function at that n reads.  Arguments and caps are checked
+before the cache is consulted, and every public call builds a fresh result
+from the cached tables.
 """
 
 from __future__ import annotations
@@ -126,24 +126,35 @@ def _words(n: int, palindromic: bool) -> Iterator[str]:
 
 
 @lru_cache(maxsize=None)
-def _tally(n: int, palindromic: bool) -> dict[tuple[int, int, int], int]:
-    """Words of length n (or palindromes) by (zeros, longest zero-run,
-    longest one-run), in order of first appearance; callers check n first.
+def _tally(n: int, palindromic: bool) -> tuple[dict, dict]:
+    """The one walk over the words of length n (or palindromes); callers
+    check n first.  Returns, each in order of first appearance, the words by
+    (zeros, longest zero-run, longest one-run) and the distinct zero-run
+    multisets by (zeros, longest zero-run).
 
-    The pieces of a split are runs of one symbol, so the lexicographic max
-    is the longest of them.
+    A word is read as its canonical word, the pieces of its split at "1"
+    sorted, and its longest one-run.  The pieces are runs of one symbol, so
+    string order is length order and max gives the longest.  At fixed n the
+    x zeros fix the piece count n - x + 1, so canonical words are one-to-one
+    with the zero-run multisets; x and the last piece, k, are read once per
+    canonical word, and only the two tables are kept.
     """
-    return dict(Counter(
-        (w.count("0"), len(max(w.split("1"))), len(max(w.split("0"))))
+    seen = Counter(
+        ("1".join(sorted(w.split("1"))), len(max(w.split("0"))))
         for w in _words(n, palindromic)
-    ))
+    )
+    class_of = {c: (c.count("0"), len(c.rpartition("1")[2])) for c, _ in seen}
+    words: Counter[tuple[int, int, int]] = Counter()
+    for (c, j), count in seen.items():
+        words[(*class_of[c], j)] += count
+    return words, Counter(class_of.values())
 
 
 def oracle_count(n: int, palindromic: bool = False, cap: int | None = None) -> ClassTable:
     """Tally every class of length-n words (or palindromes) by enumeration."""
     check_cap(n, palindromic, cap)
     counts: dict[tuple[int, int], int] = {}
-    for (x, k, _), count in _tally(n, bool(palindromic)).items():
+    for (x, k, _), count in _tally(n, bool(palindromic))[0].items():
         counts[x, k] = counts.get((x, k), 0) + count
     return ClassTable(n, palindromic, counts)
 
@@ -154,7 +165,7 @@ def _run_avoiding(r: int, n: int, cap: int | None) -> Iterator[tuple[int, int]]:
     if r < 2:
         raise ValueError("run bound r must be >= 2")
     check_cap(n, False, cap)
-    return ((x, count) for (x, _, j), count in _tally(n, False).items() if j < r)
+    return ((x, count) for (x, _, j), count in _tally(n, False)[0].items() if j < r)
 
 
 def oracle_T(r: int, n: int, cap: int | None = None) -> int:
@@ -180,18 +191,7 @@ def oracle_partition_table(
 ) -> dict[tuple[int, int], int]:
     """Distinct zero-run multisets per (x, k) class, in a single sweep."""
     check_cap(n, palindromic, cap)
-    # Sorted piece lengths of the split at "1", empty pieces included: at
-    # fixed n the x zeros fix the piece count n - x + 1, so these tuples are
-    # one-to-one with the zero-run multisets; their sum and last entry are
-    # the class (x, k).
-    multisets = dict.fromkeys(
-        tuple(sorted(map(len, w.split("1")))) for w in _words(n, palindromic)
-    )
-    table: dict[tuple[int, int], int] = {}
-    for runs in multisets:
-        key = (sum(runs), runs[-1])
-        table[key] = table.get(key, 0) + 1
-    return table
+    return dict(_tally(n, bool(palindromic))[1])
 
 
 def string_to_composition(word: str) -> tuple[int, ...]:

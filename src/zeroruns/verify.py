@@ -393,7 +393,13 @@ _SUITES: dict[str, list[tuple[str, Callable]]] = {
 def run_checks(max_n: int, suite: str = "all", cap: int | None = None):
     """Run the checks of one suite, or of all, yielding each Check as it ends.
 
-    Raises ValueError for max_n < 0 or cap < 0 before any check runs."""
+    Raises ValueError before any check runs for an unknown suite, a max_n
+    or cap that is not an int, max_n < 0 or cap < 0."""
+    if suite not in ("all", *_SUITES):
+        raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of {tuple(_SUITES)}")
+    rc.require_ints(max_n)
+    if cap is not None:
+        rc.require_ints(cap)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if cap is not None and cap < 0:

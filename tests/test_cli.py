@@ -220,6 +220,27 @@ def test_verify_negative_cap_runs_no_check(capsys, monkeypatch, fmt):
     assert (code, out, err) == (2, "", "error: oracle cap must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    ((3, "bogus"), "unknown suite 'bogus'"),
+    ((3.0,), "got (3.0,)"),
+    ((True,), "got (True,)"),
+    ((3, "core", 2.0), "got (2.0,)"),
+], ids=repr)
+def test_run_checks_rejects_bad_arguments_before_any_check(monkeypatch, args, message):
+    from zeroruns import verify
+
+    # stand-in checks that only record that they ran
+    ran = []
+    monkeypatch.setattr(verify, "_SUITES", {
+        suite: [(name, lambda *_, name=name: ran.append(name)) for name, _ in checks]
+        for suite, checks in verify._SUITES.items()
+    })
+    with pytest.raises(ValueError) as error:
+        list(verify.run_checks(*args))
+    assert message in str(error.value)
+    assert ran == []
+
+
 def test_verify_cap_failure_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
                        "--oracle-cap", "4")

@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 
 from zeroruns import compositions as comp, oracle, palindromic as pal, runcount as rc
+from zeroruns import sequences as seq
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
 from test_palindromic import F_hat_per_cell
@@ -21,6 +22,24 @@ def test_distribution_examples():
     assert comp.compositions_by_largest_summand(1) == (1,)
     with pytest.raises(ValueError):
         comp.compositions_by_largest_summand(0)
+
+
+# Up to m = 65 the kernel steps every B_k from its head: a jump, which
+# computes its own head terms through _run_terms, needs 4 (m - 1) > 257.
+@pytest.mark.parametrize("palindromic", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 65])
+def test_distribution_steps_each_bounded_total_once(monkeypatch, m, palindromic):
+    passes = []
+    kernel = seq._run_terms
+
+    def spy(r, power, ns):
+        passes.append(r)
+        return kernel(r, power, ns)
+
+    monkeypatch.setattr(seq, "_run_terms", spy)
+    comp.compositions_by_largest_summand(m, palindromic)
+    assert len(passes) <= m + 1
+    assert len(set(passes)) == len(passes)
 
 
 @pytest.mark.parametrize("palindromic", [False, True])

@@ -219,13 +219,33 @@ def test_oracle_T_and_zero_total_equal_per_word_loop(n):
         assert oracle.oracle_zero_total(r, n) == sum(w.count("0") for w in avoiding), r
 
 
-@pytest.mark.parametrize("n", range(0, 15))
+@pytest.mark.parametrize("n", range(0, 25))
 def test_partition_table_equals_per_word_loop(n):
-    for palindromic in (False, True):
+    for palindromic in (False, True) if n <= 14 else (True,):
         table = oracle.oracle_partition_table(n, palindromic=palindromic)
         want = partition_table_by_words(n, palindromic)
         assert table == want
         assert list(table) == list(want)  # same order
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_one_walk_per_length(monkeypatch, n):
+    walks = []
+    words = oracle._words
+
+    def spy(n, palindromic):
+        walks.append((n, palindromic))
+        return words(n, palindromic)
+
+    monkeypatch.setattr(oracle, "_words", spy)
+    oracle._tally.cache_clear()
+    for palindromic in (False, True):
+        oracle.oracle_count(n, palindromic)
+        oracle.oracle_partition_table(n, palindromic)
+        oracle.oracle_partition_classes(n, 1, 1, palindromic)
+    oracle.oracle_T(2, n)
+    oracle.oracle_zero_total(2, n)
+    assert walks == [(n, False), (n, True)]
 
 
 def test_cap_checked_on_a_warm_cache():
