@@ -74,9 +74,10 @@ def _run_terms(r: int, power: int, ns: range):
 
     A word of length n < r holds no run of r ones, so r is first clipped to
     ns.stop and no cost grows with r beyond it; r = k + 1 gives B_k, and
-    r = 0 the zero sequence.  Up to s = r the terms are closed forms,
-    T(r, s) = 2^s - [s = r] and O(r, s) = s 2^(s-1), which a range ending
-    there takes directly.  From them, windows of r + 1 terms are stepped by
+    r = 0 the zero sequence, yielded before any window or jump is built.
+    Up to s = r the terms are closed forms, T(r, s) = 2^s - [s = r] and
+    O(r, s) = s 2^(s-1), which a range ending there takes directly.  From
+    them, windows of r + 1 terms are stepped by
         T(s) = 2 T(s-1) - T(s-r-1),
         O(s) = 2 O(s-1) - O(s-r-1) + T(s-1) - T(s-r-1),
     the differences of T(s) = sum T(s-i) and O(s) = sum O(s-i) + T(s-i) over
@@ -96,6 +97,10 @@ def _run_terms(r: int, power: int, ns: range):
     terms, 2 cores, Python 3.11).
     """
     r = min(r, ns.stop)
+    if r == 0:
+        # every word holds a run of no ones (and 4 * ns.start > 0 would jump)
+        yield from (0 for _ in ns)
+        return
     heads = (lambda s: (1 << s) - (s == r), lambda s: s << s >> 1)[:power]
     if ns.stop <= r + 1:
         # a window here would hold every term up to 2^r, O(r^2) bits

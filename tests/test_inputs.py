@@ -74,6 +74,7 @@ def bad_calls():
 
 def clear_caches():
     rc._bounded.cache_clear()
+    rc._vectors.cache_clear()
     comp._classes.cache_clear()
 
 

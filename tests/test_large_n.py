@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import zeroruns
 from zeroruns import compositions as comp, palindromic as pal, runcount as rc
 
@@ -35,13 +38,13 @@ def gaps_at_most_3(gaps, zeros):
 
 
 def bounded_direct(n, x, k):
-    """Words of length n with x zeros and every zero-run <= k: the
-    inclusion-exclusion sum with one math.comb per term."""
+    """Words of length n with x zeros and every zero-run <= k (k >= 0): the
+    inclusion-exclusion sum with one math.comb per term.  Terms past
+    j = m + 1 or j = x // (k + 1) vanish."""
     m = n - x
     return sum(
         (-1) ** j * math.comb(m + 1, j) * math.comb(n - j * (k + 1), m)
-        for j in range(m + 2)
-        if n - j * (k + 1) >= m
+        for j in range(min(m + 1, x // (k + 1)) + 1)
     )
 
 
@@ -63,13 +66,70 @@ def row_by_binomial_column(n, x):
     return [bounded[0]] + [bounded[k] - bounded[k - 1] for k in range(1, x + 1)]
 
 
-def test_bounded_against_direct_sum():
+def clear_kernel():
     rc._bounded.cache_clear()
+    rc._vectors.cache_clear()
+
+
+def test_bounded_against_direct_sum():
+    clear_kernel()
     for n in range(61):
         for x in range(n + 1):
             # includes k > x, and the empty sums where x > (n - x + 1) k
             for k in range(n + 2):
                 assert rc._bounded(n, x, k) == bounded_direct(n, x, k), (n, x, k)
+
+
+def rows(n_min, n_max, x_min, x_max):
+    return st.integers(n_min, n_max).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min(x_min, n), min(x_max, n))))
+
+
+def cells(row_strategy):
+    return row_strategy.flatmap(
+        lambda row: st.tuples(*map(st.just, row), st.integers(0, row[1] + 1)))
+
+
+# _bounded takes a dot product of two cached vectors while
+# x * bit_length(n // x) <= 4096, which holds for every n <= 4096 and for
+# small x, and steps term by term past it, as at n >= 2 * 10^5, x >= 600.
+SMALL_X = rows(0, 10**6, 0, 60)
+LARGE_X = rows(0, 4096, 0, 4096)
+STEPPED = rows(2 * 10**5, 10**6, 600, 700)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells(SMALL_X) | cells(LARGE_X) | cells(STEPPED))
+def test_bounded_equals_direct_sum_on_random_cells(cell):
+    assert rc._bounded(*cell) == bounded_direct(*cell)
+
+
+@settings(max_examples=20, deadline=None)
+@given(SMALL_X | LARGE_X | STEPPED)
+def test_row_sums_and_diagonal_on_random_rows(row):
+    n, x = row
+    assert sum(rc.F(n, x, k) for k in range(x + 1)) == math.comb(n, x)
+    if x:
+        assert rc.F(n, x, x) == n - x + 1
+
+
+def test_kernel_side_of_each_row(monkeypatch):
+    clear_kernel()
+    built = []
+    vectors = rc._vectors
+    monkeypatch.setattr(rc, "_vectors", lambda n, x: built.append((n, x)) or vectors(n, x))
+    for n, x in ((3014, 1507), (2992, 1495), (10**5, 5 * 10**4)):
+        # k = x // 2 keeps the direct sum to two terms
+        assert rc._bounded(n, x, x // 2) == bounded_direct(n, x, x // 2), (n, x)
+    assert built == [(3014, 1507), (2992, 1495)]
+
+
+def test_vector_cache_is_bounded():
+    maxsize = rc._vectors.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for x in range(maxsize + 5):
+        rc._vectors(100, x)
+    assert rc._vectors.cache_info().currsize == maxsize
 
 
 def test_half_length_row_cold_in_both_orders():
@@ -78,7 +138,7 @@ def test_half_length_row_cold_in_both_orders():
     assert sum(expected) == math.comb(n, x)
     assert expected[x] == n - x + 1
     for order in (range(x + 1), range(x, -1, -1)):
-        rc._bounded.cache_clear()
+        clear_kernel()
         row = {k: rc.F(n, x, k) for k in order}
         assert [row[k] for k in range(x + 1)] == expected
 

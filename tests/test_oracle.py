@@ -177,6 +177,17 @@ def test_palindrome_iteration(n):
     assert sorted(palindromes) == brute
 
 
+@pytest.mark.parametrize("n", range(0, 15))
+def test_word_iteration_equals_per_word_format(n):
+    # the spec each word was once formatted with, rebuilt per word
+    words = [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
+    assert list(oracle.iter_words(n)) == words
+    half = (n + 1) // 2
+    halves = [format(v, f"0{half}b") if half else "" for v in range(1 << half)]
+    assert list(oracle.iter_palindromes(n)) == [
+        h + (h[-2::-1] if n % 2 else h[::-1]) for h in halves]
+
+
 # The per-word loops the oracle ran before it tallied each length once; they
 # stay here as references for the tally.
 def words_of(n, palindromic):

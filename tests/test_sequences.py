@@ -88,6 +88,24 @@ def test_first_far_n(r, monkeypatch):
     assert jumps == list(FIRST_FAR[r])
 
 
+def test_zero_sequence_never_jumps(monkeypatch):
+    # B_(-1), read by the k = 0 column sums, is all zeros: no start is far
+    jumps = []
+    jump = seq._x_powers_mod
+
+    def spy(poly, n):
+        jumps.append(n)
+        return jump(poly, n)
+
+    monkeypatch.setattr(seq, "_x_powers_mod", spy)
+    ns = range(2, 51)
+    assert [seq.column_sum(n, 0) for n in ns] == [column_sum_by_F(n, 0) for n in ns]
+    assert [seq.palindromic_column_sum(n, 0) for n in ns] == [
+        palindromic_column_sum_by_F_hat(n, 0) for n in ns]
+    assert list(seq._run_terms(0, 2, range(100, 105))) == [0] * 5
+    assert jumps == []
+
+
 @pytest.mark.parametrize("r", range(2, 9))
 def test_T_and_O_match_list_recurrence(r):
     # covers n < r, n = r, n < 2r, and each side of the first far n
