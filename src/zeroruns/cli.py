@@ -10,7 +10,6 @@ Counts are always printed in full decimal.  Exit status: 0 on success, 1 when
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -173,7 +172,7 @@ def _cmd_partitions(args) -> int:
 def _cmd_verify(args) -> int:
     # imported here: verify is the one subcommand that needs it, and every
     # other command would pay for compiling the module at start-up
-    from .verify import run_checks, run_verify
+    from .verify import run_checks
 
     cap = args.oracle_cap
     env = os.environ.get(ENV_ORACLE_CAP)
@@ -182,17 +181,19 @@ def _cmd_verify(args) -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"invalid {ENV_ORACLE_CAP}: {env!r}") from None
-    if args.format == "csv":
-        checks = list(run_checks(args.max_n, args.suite, cap))
-        _emit(args, {}, "oracle", ["check", "status", "flags", "failures"],
-              [[c.name, c.status, len(c.flags), len(c.failures)] for c in checks], [])
-        return 1 if any(c.failures for c in checks) else 0
-    if args.format == "plain":
-        return 1 if run_verify(args.max_n, args.suite, cap) else 0
-    buffer = io.StringIO()
-    failures = run_verify(args.max_n, args.suite, cap, out=buffer)
-    _emit(args, {"failures": failures, "report": buffer.getvalue().splitlines()},
-          "oracle", [], [], [])
+    failures, report, rows = 0, [], []
+    for check in run_checks(args.max_n, args.suite, cap):
+        lines = [f"{check.status} {check.name}",
+                 *(f"  flag: {message}" for message in check.flags),
+                 *(f"  fail: {message}" for message in check.failures[:20])]
+        if args.format == "plain":  # stream: a long suite shows each check as it ends
+            print("\n".join(lines))
+        failures += bool(check.failures)
+        report += lines
+        rows.append([check.name, check.status, len(check.flags), len(check.failures)])
+    # plain printed its lines above, so it passes none here
+    _emit(args, {"failures": failures, "report": report}, "oracle",
+          ["check", "status", "flags", "failures"], rows, [])
     return 1 if failures else 0
 
 

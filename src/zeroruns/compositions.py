@@ -159,8 +159,11 @@ def partition_function(m: int) -> int:
     for P_total(m - 1).
     """
     require_ints(m)
-    if m < 0:
-        return 0
+    return _partition_numbers(m)[-1] if m >= 0 else 0
+
+
+def _partition_numbers(m: int) -> list[int]:
+    """The list p(0), ..., p(m) for m >= 0, by the pentagonal recurrence."""
     p = [1] + [0] * m
     for i in range(1, m + 1):
         # pentagonal numbers g = j(3j - 1)/2 and g + j, signed + + - - ...
@@ -169,7 +172,7 @@ def partition_function(m: int) -> int:
             term = p[i - g] + (p[i - g - j] if g + j <= i else 0)
             p[i] += term if j % 2 else -term
             j += 1
-    return p[m]
+    return p
 
 
 def P_hat(n: int, x: int, k: int) -> int:
@@ -193,9 +196,11 @@ def P_hat_total(n: int) -> int:
     """Palindromic partition classes of n: 1 + sum_{h < n/2} P_total(h).  Each
     palindrome but 0^n reads A 1 0^c 1 reverse(A), or A 1 reverse(A) for odd n
     (palindromic._halves): its multiset is A's doubled plus c, the one part of
-    odd multiplicity, and each h < n/2 comes from one c (Andrews, ch. 3)."""
+    odd multiplicity, and each h < n/2 comes from one c (Andrews, ch. 3).  As
+    P_total(h) = p(h + 1), that is sum_{m <= ceil(n/2)} p(m): one pentagonal
+    list, no Gaussian kernel."""
     require_ints(n)
-    return (n >= 0) + sum(P_total(h) for h in range((n + 1) // 2))
+    return sum(_partition_numbers((n + 1) // 2)) if n >= 0 else 0
 
 
 def p_hat_two_printed(n: int, x: int) -> int | None:

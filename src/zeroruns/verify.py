@@ -4,13 +4,11 @@ Every check has the signature (check, max_n, cap): it records failures and
 flags on `check` for lengths up to max_n, and passes cap to any oracle
 enumeration it runs.  Flags mark printed claims that enumeration contradicts;
 they are reported but do not fail the run.  run_checks yields each check once
-it has run; run_verify prints one status line per check and returns the number
-of failing checks.
+it has run, with its status, flags and failures; the caller renders them.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable
 
 from . import compositions as comp
@@ -20,7 +18,7 @@ from . import palindromic as pal
 from . import runcount as rc
 from . import sequences as seq
 
-__all__ = ["Check", "run_checks", "run_verify"]
+__all__ = ["Check", "run_checks"]
 
 
 class Check:
@@ -413,19 +411,3 @@ def run_checks(max_n: int, suite: str = "all", cap: int | None = None):
             except oracle.EnumerationLimitError as exc:
                 check.fail(f"enumeration cap hit: {exc}")
             yield check
-
-
-def run_verify(max_n: int, suite: str = "all", cap: int | None = None,
-               out=None) -> int:
-    """Run the oracle cross-checks; returns the number of failing checks."""
-    out = out if out is not None else sys.stdout
-    failures = 0
-    for check in run_checks(max_n, suite, cap):
-        print(f"{check.status} {check.name}", file=out)
-        for message in check.flags:
-            print(f"  flag: {message}", file=out)
-        for message in check.failures[:20]:
-            print(f"  fail: {message}", file=out)
-        if check.failures:
-            failures += 1
-    return failures

@@ -241,6 +241,39 @@ def test_run_checks_rejects_bad_arguments_before_any_check(monkeypatch, args, me
     assert ran == []
 
 
+def test_verify_reports_the_first_20_failures_and_counts_all(capsys, monkeypatch):
+    from zeroruns import verify
+
+    def failing(check, max_n, cap):
+        for i in range(25):
+            check.fail(f"failure {i}")
+
+    monkeypatch.setattr(verify, "_SUITES", {"core": [("failing", failing)]})
+    code, out, _ = run(capsys, "verify", "--suite", "core")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL failing"
+    assert sum(line.startswith("  fail: ") for line in out.splitlines()) == 20
+    code, out, _ = run(capsys, "verify", "--suite", "core", "--format", "json")
+    report = json.loads(out)["result"]["report"]
+    assert code == 1
+    assert sum(line.startswith("  fail: ") for line in report) == 20
+    code, out, _ = run(capsys, "verify", "--suite", "core", "--format", "csv")
+    assert (code, out) == (1, "check,status,flags,failures\nfailing,FAIL,0,25\n")
+
+
+def test_verify_plain_prints_each_check_as_it_ends(capsys, monkeypatch):
+    from zeroruns import verify
+
+    seen = []
+    monkeypatch.setattr(verify, "_SUITES", {"core": [
+        ("first", lambda check, *_: check.flag("noted")),
+        ("second", lambda *_: seen.append(capsys.readouterr().out)),
+    ]})
+    assert cli.main(["verify", "--suite", "core"]) == 0
+    assert seen == ["FLAG first\n  flag: noted\n"]
+    assert capsys.readouterr().out == "ok second\n"
+
+
 def test_verify_cap_failure_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
                        "--oracle-cap", "4")

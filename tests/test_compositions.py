@@ -298,6 +298,13 @@ def test_totals_at_large_n():
         assert comp.P_hat_total(n) == want, n
 
 
+def test_P_hat_total_leaves_the_gaussian_kernel_cold():
+    # the pentagonal list p(0..ceil(n/2)) answers it: no _classes entry
+    comp._classes.cache_clear()
+    comp.P_hat_total(300)
+    assert comp._classes.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("n", range(0, 15))
 def test_support_size_vs_partition_total(n):
     size = len(support_set(n))
