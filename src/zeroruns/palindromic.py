@@ -1,8 +1,17 @@
-"""Exact counts of palindromic binary strings by zero count and longest zero-run."""
+"""Exact counts of palindromic binary strings by zero count and longest zero-run.
+
+F_hat answers one cell from the half-word classes of _halves and the cached
+kernel of runcount.  _F_hat_row answers a whole row (n, x) for build_matrix:
+the same case split, written once per row, reads each half row once from
+one uncached pair of binomial vectors and leaves the cell caches untouched.
+"""
 
 from __future__ import annotations
 
-from .runcount import SupportSet, _bounded, binomial, feasible, not_ints, require_ints
+import math
+
+from .runcount import (SupportSet, _bounded, _bounded_row, _F_row, binomial, feasible,
+                       not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -65,6 +74,37 @@ def F_hat(n: int, x: int, k: int) -> int:
         else:
             total += _bounded(h, y, min(k, y))
     return total
+
+
+def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
+    """F_hat(n, x, k) for 0 <= k <= n, with 0 <= x <= n: every class of
+    _halves over the whole row, each half row read once.  The arguments are
+    not checked; build_matrix checks them.
+
+    x = n is the all-zero word alone, at k = n, and odd n with even x has
+    the halves of the plain row (n // 2, x // 2).  Past those, n - x odd
+    admits no palindrome.  Otherwise each centre length c = n (mod 2) with
+    c <= x has the half row (h, y) = ((n - c)/2 - 1, (x - c)/2): it gives
+    the cell k = c the half words with runs at most min(c, y), and each
+    k with c < k <= y the half words with longest run exactly k.  No cell
+    reads A_j(h, y) for j < c, so the half row starts at j = c.
+    """
+    if x == n:
+        return (0,) * n + (1,)
+    if n % 2 and x % 2 == 0:
+        return _F_row(n // 2, x // 2) + (0,) * (n - n // 2)
+    row = [0] * (n + 1)
+    if (n - x) % 2 == 0:
+        for c in range(n % 2, x + 1, 2):
+            h, y = (n - c) // 2 - 1, (x - c) // 2
+            if c >= y:
+                row[c] += math.comb(h, y)
+                continue
+            bounded = _bounded_row(h, y, c)
+            row[c] += bounded[0]
+            for k in range(c + 1, y + 1):
+                row[k] += bounded[k - c] - bounded[k - c - 1]
+    return tuple(row)
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 __all__ = [
@@ -122,20 +122,47 @@ def F_closed_high_k(n: int, x: int, k: int) -> int:
     return 2 * binomial(n - k - 1, x - k) + (n - k - 1) * binomial(n - k - 2, x - k)
 
 
-@lru_cache(maxsize=16)
-def _vectors(n: int, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The row (-1)^j C(m+1, j), 0 <= j <= min(x // 2, m + 1), and the column
-    C(n - t, m), 0 <= t <= x, with m = n - x: every A_k(n, x) with 1 <= k < x
-    is a dot product of the two (see _bounded).  Each entry is the one before
-    it times an exact one-factor ratio, the column built down from C(m, m)."""
+def _binomials(n: int, x: int, top: int) -> tuple[list[int], list[int]]:
+    """The row (-1)^j C(m+1, j), 0 <= j <= min(top, m + 1), and the column
+    C(n - t, m), 0 <= t <= x, with m = n - x: A_k(n, x) for k >= 1 is a dot
+    product of the two (see _bounded), and reads the row up to x // (k + 1).
+    Each entry is the one before it times an exact one-factor ratio, the
+    column built down from C(m, m)."""
     m = n - x
     column = [1] * (x + 1)
     for t in range(x, 0, -1):
         column[t - 1] = column[t] * (n - t + 1) // (x - t + 1)
     row = [1]
-    for j in range(1, min(x // 2, m + 1) + 1):
+    for j in range(1, min(top, m + 1) + 1):
         row.append(-row[-1] * (m + 2 - j) // j)
+    return row, column
+
+
+@lru_cache(maxsize=16)
+def _vectors(n: int, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_binomials(n, x, x // 2), enough for every A_k with k >= 1, kept for
+    the last 16 rows that lone cells read."""
+    row, column = _binomials(n, x, x // 2)
     return tuple(row), tuple(column)  # shared by every caller: read-only
+
+
+def _bounded_row(n: int, x: int, lo: int) -> list[int]:
+    """[A_k(n, x) for lo <= k <= x], 0 <= x <= n and lo >= 0: the dot
+    products of _bounded from one pair of _binomials built for this call
+    alone, 0 wherever x > (m + 1) k (so A_0 reads no vector).  A matrix
+    reads each row once, so no cache is kept."""
+    m = n - x
+    row, column = _binomials(n, x, x // max(lo + 1, 2))
+    return [sum(map(mul, row, column[::k + 1])) if x <= (m + 1) * k else 0
+            for k in range(lo, x + 1)]
+
+
+def _F_row(n: int, x: int) -> tuple[int, ...]:
+    """F(n, x, k) for 0 <= k <= n, with 0 <= x <= n: the differences of
+    consecutive A_k from _bounded_row, padded with zeros past k = x.  The
+    arguments are not checked; build_matrix checks them."""
+    bounded = _bounded_row(n, x, 0)
+    return (bounded[0], *map(sub, bounded[1:], bounded)) + (0,) * (n - x)
 
 
 @lru_cache(maxsize=None)

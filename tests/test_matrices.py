@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeroruns import matrices as mat, palindromic as pal, runcount as rc
 from zeroruns.compositions import compositions_by_largest_summand
@@ -107,3 +109,41 @@ def test_palindromic_matrix_properties(n):
             rc.binomial(n // 2, x // 2) if x % 2 == 0 else 0 for x in range(n + 1)
         )
         assert mat.row_sums(matrix) == expected
+
+
+def cellwise(n, kind):
+    count = rc.F if kind == "plain" else pal.F_hat
+    return tuple(tuple(count(n, x, k) for k in range(n + 1)) for x in range(n + 1))
+
+
+@pytest.mark.parametrize("kind", ["plain", "palindromic"])
+def test_row_builds_equal_cellwise_counts(kind):
+    for n in range(81):
+        assert mat.build_matrix(n, kind).rows == cellwise(n, kind), n
+
+
+# the palindromic row's cases: x = n, odd n with even x, odd n - x, and the
+# centre-length loop on odd and on even n
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((600, 0))
+@example((599, 0))
+@example((600, 600))
+@example((599, 599))
+@example((600, 299))
+@example((599, 300))
+@example((599, 301))
+@example((600, 300))
+def test_rows_equal_cells_to_order_600(row):
+    n, x = row
+    assert rc._F_row(n, x) == tuple(rc.F(n, x, k) for k in range(n + 1))
+    assert pal._F_hat_row(n, x) == tuple(pal.F_hat(n, x, k) for k in range(n + 1))
+
+
+def test_matrix_builds_leave_the_kernel_caches_empty():
+    rc._bounded.cache_clear()
+    rc._vectors.cache_clear()
+    mat.build_matrix(300)
+    mat.build_matrix(300, "palindromic")
+    assert rc._bounded.cache_info().currsize == 0
+    assert rc._vectors.cache_info().currsize == 0
