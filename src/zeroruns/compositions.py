@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .palindromic import F_hat, _halves
+from .palindromic import F_hat, _F_hat_cell, _halves
 from .runcount import F, feasible, not_ints, require_ints
 from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
 
@@ -89,11 +89,12 @@ def summands_total(m: int, palindromic: bool = False, method: str = "formula") -
 
 def two_count_palindromic(m: int) -> int:
     """Total number of 2-summands over palindromic {1,2}-compositions of m,
-    as the weighted column sum  sum_x x * F_hat(m-1, x, 1)."""
+    as the weighted column sum  sum_x x * F_hat(m-1, x, 1).  A column crosses
+    every row, so its cells step (_F_hat_cell) rather than build the rows."""
     require_ints(m)
     if m < 2:
         raise ValueError("two_count_palindromic is defined for m >= 2")
-    return sum(x * F_hat(m - 1, x, 1) for x in range(1, m))
+    return sum(x * _F_hat_cell(m - 1, x, 1) for x in range(1, m))
 
 
 def P(n: int, x: int, k: int) -> int:

@@ -35,19 +35,16 @@ class CountMatrix(NamedTuple):
 
 
 def build_matrix(n: int, kind: str = "plain") -> CountMatrix:
-    """Matrix of F (or F_hat) values over 0 <= x, k <= n, a row at a time.
-
-    Each row (n, x) is built from one pair of binomial vectors that no other
-    row reads (runcount._F_row, palindromic._F_hat_row), so a build leaves
-    the cell caches behind F and F_hat as it found them.
-    """
+    """Matrix of F (or F_hat) values over 0 <= x, k <= n, a row at a time:
+    each row (n, x) is runcount._F_row or palindromic._F_hat_row, padded
+    with zeros past k = x."""
     require_ints(n)
     if n < 0:
         raise ValueError("matrix order parameter must be >= 0")
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     row = _F_row if kind == "plain" else _F_hat_row
-    return CountMatrix(n, kind, tuple(row(n, x) for x in range(n + 1)))
+    return CountMatrix(n, kind, tuple(row(n, x) + (0,) * (n - x) for x in range(n + 1)))
 
 
 def row_sums(matrix: CountMatrix) -> tuple[int, ...]:

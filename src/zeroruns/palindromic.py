@@ -1,17 +1,17 @@
 """Exact counts of palindromic binary strings by zero count and longest zero-run.
 
-F_hat answers one cell from the half-word classes of _halves and the cached
-kernel of runcount.  _F_hat_row answers a whole row (n, x) for build_matrix:
-the same case split, written once per row, reads each half row once from
-one uncached pair of binomial vectors and leaves the cell caches untouched.
+F_hat reads its cells from the cached rows of _F_hat_row, which writes the
+case split of _halves once per row (n, x).  Past the dot side, _F_hat_cell
+answers one cell from the classes of _halves and the stepping runcount._bounded.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .runcount import (SupportSet, _bounded, _bounded_row, _F_row, binomial, feasible,
-                       not_ints, require_ints)
+from .runcount import (SupportSet, _bounded, _bounded_row, _dot_side, _F_row, binomial,
+                       feasible, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -58,28 +58,42 @@ def _halves(n: int, x: int, k: int):
 def F_hat(n: int, x: int, k: int) -> int:
     """Palindromic class count, total on all integer triples.
 
-    Sums over the half-word classes of _halves, with A_k(h, y) the cached
-    count of half words whose runs are all at most k (runcount._bounded):
-    A_k - A_(k-1) for an exact class, and A_k for the others, its bound
-    clipped to y so that every k >= y shares the row's C(h, y).  Raises
-    ValueError on non-int arguments.
+    Where the half row (n // 2, x // 2) is on the dot side, the cell is read
+    from its whole row, _F_hat_row, which the cells of one row share; past
+    it, _F_hat_cell steps the cell alone.  Raises ValueError on non-int
+    arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    # a loop: sum() over a generator expression costs a cached row ~15% more
+    if not feasible(n, x, k):
+        return 0
+    if _dot_side(n // 2, x // 2):
+        return _F_hat_row(n, x)[k]
+    return _F_hat_cell(n, x, k)
+
+
+def _F_hat_cell(n: int, x: int, k: int) -> int:
+    """F_hat(n, x, k) as a sum over the half-word classes of _halves, with
+    A_k(h, y) the stepping count of half words whose runs are all at most k
+    (runcount._bounded): A_k - A_(k-1) for an exact class, and A_k for the
+    others, its bound clipped to y.  The arguments are not checked."""
     total = 0
     for h, y, exact in _halves(n, x, k):
+        whole = math.comb(h, y)
         if exact:
-            total += _bounded(h, y, k) - _bounded(h, y, k - 1)
+            total += _bounded(h, y, k, whole) - _bounded(h, y, k - 1, whole)
         else:
-            total += _bounded(h, y, min(k, y))
+            total += _bounded(h, y, min(k, y), whole)
     return total
 
 
+@lru_cache(maxsize=64)
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
-    """F_hat(n, x, k) for 0 <= k <= n, with 0 <= x <= n: every class of
-    _halves over the whole row, each half row read once.  The arguments are
-    not checked; build_matrix checks them.
+    """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: every class of
+    _halves over the whole row, each half row read once, kept for the last
+    64 rows read.  A row whose half row is on the dot side holds at most
+    about 8 MB.  The arguments are not checked; F_hat and build_matrix
+    check them.
 
     x = n is the all-zero word alone, at k = n, and odd n with even x has
     the halves of the plain row (n // 2, x // 2).  Past those, n - x odd
@@ -92,8 +106,8 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     if x == n:
         return (0,) * n + (1,)
     if n % 2 and x % 2 == 0:
-        return _F_row(n // 2, x // 2) + (0,) * (n - n // 2)
-    row = [0] * (n + 1)
+        return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
+    row = [0] * (x + 1)
     if (n - x) % 2 == 0:
         for c in range(n % 2, x + 1, 2):
             h, y = (n - c) // 2 - 1, (x - c) // 2

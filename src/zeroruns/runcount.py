@@ -138,72 +138,59 @@ def _binomials(n: int, x: int, top: int) -> tuple[list[int], list[int]]:
     return row, column
 
 
-@lru_cache(maxsize=16)
-def _vectors(n: int, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_binomials(n, x, x // 2), enough for every A_k with k >= 1, kept for
-    the last 16 rows that lone cells read."""
-    row, column = _binomials(n, x, x // 2)
-    return tuple(row), tuple(column)  # shared by every caller: read-only
-
-
 def _bounded_row(n: int, x: int, lo: int) -> list[int]:
     """[A_k(n, x) for lo <= k <= x], 0 <= x <= n and lo >= 0: the dot
-    products of _bounded from one pair of _binomials built for this call
-    alone, 0 wherever x > (m + 1) k (so A_0 reads no vector).  A matrix
-    reads each row once, so no cache is kept."""
+    products of the row with every (k+1)-th column entry of one pair of
+    _binomials built for this call alone, 0 wherever x > (m + 1) k (so A_0
+    reads no vector)."""
     m = n - x
     row, column = _binomials(n, x, x // max(lo + 1, 2))
     return [sum(map(mul, row, column[::k + 1])) if x <= (m + 1) * k else 0
             for k in range(lo, x + 1)]
 
 
+def _dot_side(n: int, x: int) -> bool:
+    """True where the row (n, x) is built whole by dot products, False where
+    each cell steps: x * bit_length(n // x) <= 4096, about 4096 bits in
+    C(n, x).  Measured over 146 rows with 2000 <= n <= 10^7: a cold cell by
+    dot products took at most 2.7 times stepping at or below the bound, and
+    up to 3.6 times above it, where the vectors grow as O(x^2 log n) bits."""
+    return x == 0 or x * (n // x).bit_length() <= 4096
+
+
+@lru_cache(maxsize=64)
 def _F_row(n: int, x: int) -> tuple[int, ...]:
-    """F(n, x, k) for 0 <= k <= n, with 0 <= x <= n: the differences of
-    consecutive A_k from _bounded_row, padded with zeros past k = x.  The
-    arguments are not checked; build_matrix checks them."""
+    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the differences of
+    consecutive A_k from _bounded_row, kept for the last 64 rows read.  A
+    row on the dot side holds at most about 4 MB, at (8191, 4096).  The
+    arguments are not checked; F and build_matrix check them."""
     bounded = _bounded_row(n, x, 0)
-    return (bounded[0], *map(sub, bounded[1:], bounded)) + (0,) * (n - x)
+    return (bounded[0], *map(sub, bounded[1:], bounded))
 
 
-@lru_cache(maxsize=None)
-def _bounded(n: int, x: int, k: int) -> int:
-    """Words of length n with x zeros whose zero-runs all have length <= k.
+def _bounded(n: int, x: int, k: int, whole: int | None = None) -> int:
+    """Words of length n with x zeros whose zero-runs all have length <= k,
+    by stepping; whole is C(n, x) where the caller already has it.
 
     The zeros fill the m + 1 gaps around m = n - x ones, at most k per gap;
     inclusion-exclusion over the j gaps forced past k gives
         A_k(n, x) = sum_j (-1)^j C(m+1, j) C(n - j(k+1), m).
-    One of two paths, by a fixed test on the row (n, x):
-
-    - x * bit_length(n // x) <= 4096, about C(n, x) having 4096 bits or
-      fewer: A_k is the dot product of the row (-1)^j C(m+1, j) with every
-      (k+1)-th entry of the column C(n - t, m).  Every A_k of the row reads
-      these two vectors, built once per row and kept for the last 16 rows
-      (_vectors, at most about 4 MB a row), so a whole row over k costs
-      O(x log x) products.
-    - past it, one cell is cheaper by stepping, and the vectors would hold
-      O(x^2 log n) bits.  The sum is built upward from its last term, where
-      u = x - j(k+1) <= k makes C(m + u, u) cheap; each term is the one
-      after it times an exact ratio of falling factorials, so a row costs
-      O(x^2) factor multiplications.  The j = 0 term C(n, x) is
-      _bounded(n, x, x), cached once for the whole row over k.
-
-    The bound is measured: over 146 rows with 2000 <= n <= 10^7 and a test
-    value from 1000 to 6000, a cold cell by the dot product took a median
-    2.0 and at most 2.7 times stepping at or below 4096 (the worst of six k
-    per row), and up to 3.6 times above it.  The cold row F(3014, 1507, .)
-    takes about 0.02 s where stepping takes 0.23-0.25 s (2 cores, Python 3.11).
+    The sum is built upward from its last term, where u = x - j(k+1) <= k
+    makes C(m + u, u) cheap; each term is the one after it times an exact
+    ratio of falling factorials, so one cell costs O(x) factor
+    multiplications and holds only a few numbers at a time.  The j = 0
+    term is C(n, x).
     """
     m = n - x
+    if whole is None:
+        whole = math.comb(n, x)
     if k >= x:
-        return math.comb(n, x)
+        return whole
     if x > (m + 1) * k:
         return 0
-    if x * (n // x).bit_length() <= 4096:
-        row, column = _vectors(n, x)
-        return sum(map(mul, row, column[::k + 1]))
     j, u = divmod(x, k + 1)
     term = (-1) ** j * math.comb(m + 1, j) * math.comb(m + u, u)
-    total = _bounded(n, x, x) + term
+    total = whole + term
     for j in range(j, 1, -1):
         term = (-term * j * math.perm(m + u + k + 1, k + 1)
                 // ((m + 2 - j) * math.perm(u + k + 1, k + 1)))
@@ -217,19 +204,20 @@ def F(n: int, x: int, k: int) -> int:
 
     F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
     zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
-    Heads", 1990).  Where C(n, x) has about 4096 bits or fewer, the cells of
-    a row (n, x) share the two vectors behind A_k, so the row over every k
-    costs a few single cells.  No recursion, so large n is as safe as small
-    n.  The paper's recurrence and closed forms are checked identities, not
-    the production path.  Raises ValueError on non-int arguments.
+    Heads", 1990).  On the dot side (_dot_side) a cell is read from its whole
+    row, _F_row, which the cells of one row share; past it the cell steps.
+    No recursion, so large n is as safe as small n.  The paper's recurrence
+    and closed forms are checked identities, not the production path.
+    Raises ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
     if not feasible(n, x, k):
         return 0
-    if x == 0:
-        return 1
-    return _bounded(n, x, k) - _bounded(n, x, k - 1)
+    if _dot_side(n, x):
+        return _F_row(n, x)[k]
+    whole = math.comb(n, x)
+    return _bounded(n, x, k, whole) - _bounded(n, x, k - 1, whole)
 
 
 class SupportSet(NamedTuple):

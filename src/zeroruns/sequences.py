@@ -139,9 +139,10 @@ def _run_counts(name: str, r: int, ns: range, method: str) -> list[int]:
     if method == "recurrence":
         return list(_run_terms(r, 1 + zeros, ns))
     if method == "identity":
-        # k = 0 counts the all-ones word: F(n, 0, 0) = 1
+        # k = 0 counts the all-ones word: F(n, 0, 0) = 1; x outer reads
+        # each row of F once
         return [sum((n - x if zeros else 1) * F(n, x, k)
-                    for k in range(r) for x in range(k, n + 1)) for n in ns]
+                    for x in range(n + 1) for k in range(min(r, x + 1))) for n in ns]
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 

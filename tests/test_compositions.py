@@ -131,12 +131,12 @@ def test_palindromic_layer_does_not_depend_on_warm_state_or_call_order():
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     for count, want in ((pal.F_hat, [counts.count(x, k) for _, x, k in triples]),
                         (comp.P_hat, [table.get((x, k), 0) for _, x, k in triples])):
-        rc._bounded.cache_clear()
-        rc._vectors.cache_clear()
+        rc._F_row.cache_clear()
+        pal._F_hat_row.cache_clear()
         comp._classes.cache_clear()
         assert [count(*t) for t in triples] == want
-        rc._bounded.cache_clear()
-        rc._vectors.cache_clear()
+        rc._F_row.cache_clear()
+        pal._F_hat_row.cache_clear()
         comp._classes.cache_clear()
         assert [count(*t) for t in reversed(triples)] == want[::-1]
         assert [count(*t) for t in triples] == want

@@ -73,8 +73,8 @@ def bad_calls():
 
 
 def clear_caches():
-    rc._bounded.cache_clear()
-    rc._vectors.cache_clear()
+    rc._F_row.cache_clear()
+    pal._F_hat_row.cache_clear()
     comp._classes.cache_clear()
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeroruns
-from zeroruns import compositions as comp, palindromic as pal, runcount as rc
+from zeroruns import compositions as comp, matrices as mat, palindromic as pal, runcount as rc
 
 
 def gaps_at_most_2(gaps, zeros):
@@ -67,8 +67,8 @@ def row_by_binomial_column(n, x):
 
 
 def clear_kernel():
-    rc._bounded.cache_clear()
-    rc._vectors.cache_clear()
+    rc._F_row.cache_clear()
+    pal._F_hat_row.cache_clear()
 
 
 def test_bounded_against_direct_sum():
@@ -90,9 +90,9 @@ def cells(row_strategy):
         lambda row: st.tuples(*map(st.just, row), st.integers(0, row[1] + 1)))
 
 
-# _bounded takes a dot product of two cached vectors while
-# x * bit_length(n // x) <= 4096, which holds for every n <= 4096 and for
-# small x, and steps term by term past it, as at n >= 2 * 10^5, x >= 600.
+# F reads whole rows built by dot products while x * bit_length(n // x)
+# <= 4096, which holds for every n <= 4096 and for small x, and steps each
+# cell past it, as at n >= 2 * 10^5, x >= 600; _bounded always steps.
 SMALL_X = rows(0, 10**6, 0, 60)
 LARGE_X = rows(0, 4096, 0, 4096)
 STEPPED = rows(2 * 10**5, 10**6, 600, 700)
@@ -115,21 +115,44 @@ def test_row_sums_and_diagonal_on_random_rows(row):
 
 def test_kernel_side_of_each_row(monkeypatch):
     clear_kernel()
-    built = []
-    vectors = rc._vectors
-    monkeypatch.setattr(rc, "_vectors", lambda n, x: built.append((n, x)) or vectors(n, x))
+    built, built_hat = [], []
+    row, row_hat = rc._F_row, pal._F_hat_row
+    monkeypatch.setattr(rc, "_F_row", lambda n, x: built.append((n, x)) or row(n, x))
+    monkeypatch.setattr(pal, "_F_hat_row",
+                        lambda n, x: built_hat.append((n, x)) or row_hat(n, x))
     for n, x in ((3014, 1507), (2992, 1495), (10**5, 5 * 10**4)):
         # k = x // 2 keeps the direct sum to two terms
-        assert rc._bounded(n, x, x // 2) == bounded_direct(n, x, x // 2), (n, x)
+        k = x // 2
+        assert rc.F(n, x, k) == bounded_direct(n, x, k) - bounded_direct(n, x, k - 1), (n, x)
     assert built == [(3014, 1507), (2992, 1495)]
+    # F_hat's side is that of the half row: (601, 301) halves to (300, 150),
+    # and (2 * 10**5 + 1, 10**5 + 1) to (10**5, 5 * 10**4), which steps
+    for n, x in ((601, 301), (2 * 10**5 + 1, 10**5 + 1)):
+        pal.F_hat(n, x, x // 2)
+    assert built_hat == [(601, 301)]
 
 
 def test_vector_cache_is_bounded():
-    maxsize = rc._vectors.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
-    for x in range(maxsize + 5):
-        rc._vectors(100, x)
-    assert rc._vectors.cache_info().currsize == maxsize
+    # the two 64-row caches of whole rows, _F_row and _F_hat_row, hold what
+    # the deleted cache of binomial vectors held, and must stay as bounded
+    clear_kernel()
+    mat.build_matrix(300)
+    mat.build_matrix(300, "palindromic")
+    # the rows of the queries workload: moderate n at a share of n, large n
+    # with x <= 12, and x ~ n / 2 near n = 3000, every k of each row
+    moderate = zip((22, 33, 44, 55, 66, 77, 88, 99, 108),
+                   (0.5, 0.2, 0.8, 0.35, 0.65, 0.5, 0.25, 0.75, 0.45))
+    rows = [(n, round(share * n)) for n, share in moderate]
+    rows += [(round(10 ** (3 + j / 4)) + j % 2, x) for j, x in enumerate(range(1, 13))]
+    rows += [(3000, 1500)]
+    for n, x in rows:
+        for k in range(x + 1):
+            rc.F(n, x, k)
+            pal.F_hat(n, x, k)
+    # each build alone reads 301 rows, so both caches have evicted
+    for cache in (rc._F_row, pal._F_hat_row):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == 64, info
 
 
 def test_half_length_row_cold_in_both_orders():

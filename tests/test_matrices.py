@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeroruns import matrices as mat, palindromic as pal, runcount as rc
+from zeroruns import compositions as comp, matrices as mat, palindromic as pal, runcount as rc
 from zeroruns.compositions import compositions_by_largest_summand
 
 PRINTED_F = {
@@ -135,15 +135,38 @@ def test_row_builds_equal_cellwise_counts(kind):
 @example((599, 301))
 @example((600, 300))
 def test_rows_equal_cells_to_order_600(row):
+    # F and F_hat read these rows, so the rows are checked against the
+    # stepping kernel, which builds no vectors
     n, x = row
-    assert rc._F_row(n, x) == tuple(rc.F(n, x, k) for k in range(n + 1))
-    assert pal._F_hat_row(n, x) == tuple(pal.F_hat(n, x, k) for k in range(n + 1))
+    assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k) - rc._bounded(n, x, k - 1)
+                                    for k in range(x + 1))
+    assert pal._F_hat_row(n, x) == tuple(pal._F_hat_cell(n, x, k) for k in range(x + 1))
+
+
+def test_second_pass_over_rows_adds_no_cache_misses():
+    rows = [(n, x) for n in (30, 31, 300, 301) for x in (0, 1, 2, 7, n // 3, n)]
+    rows += [(10**5, 3), (10**5, 12)]
+
+    def sweep():
+        for n, x in rows:
+            for k in range(x + 1):
+                rc.F(n, x, k)
+                pal.F_hat(n, x, k)
+        return rc._F_row.cache_info().misses, pal._F_hat_row.cache_info().misses
+
+    rc._F_row.cache_clear()
+    pal._F_hat_row.cache_clear()
+    first = sweep()
+    assert first[0] >= len(rows) and first[1] == len(rows)
+    assert sweep() == first
 
 
 def test_matrix_builds_leave_the_kernel_caches_empty():
-    rc._bounded.cache_clear()
-    rc._vectors.cache_clear()
+    # the stepping cell kernel keeps no cache, and the builds write only the
+    # two bounded row caches (test_large_n.test_vector_cache_is_bounded),
+    # never the Gaussian kernel's
+    assert not hasattr(rc._bounded, "cache_info")
+    comp._classes.cache_clear()
     mat.build_matrix(300)
     mat.build_matrix(300, "palindromic")
-    assert rc._bounded.cache_info().currsize == 0
-    assert rc._vectors.cache_info().currsize == 0
+    assert comp._classes.cache_info().currsize == 0
