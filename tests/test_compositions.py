@@ -1,6 +1,9 @@
 from functools import cache
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeroruns import compositions as comp, oracle, palindromic as pal, runcount as rc
 from zeroruns import sequences as seq
@@ -120,6 +123,7 @@ def test_P_does_not_depend_on_warm_state_or_call_order():
     table = oracle.oracle_partition_table(12)
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     want = [table.get((x, k), 0) for _, x, k in triples]
+    comp._P_row.cache_clear()
     comp._classes.cache_clear()
     assert [comp.P(*t) for t in reversed(triples)] == want[::-1]
     assert [comp.P(*t) for t in triples] == want
@@ -133,10 +137,12 @@ def test_palindromic_layer_does_not_depend_on_warm_state_or_call_order():
                         (comp.P_hat, [table.get((x, k), 0) for _, x, k in triples])):
         rc._F_row.cache_clear()
         pal._F_hat_row.cache_clear()
+        comp._P_row.cache_clear()
         comp._classes.cache_clear()
         assert [count(*t) for t in triples] == want
         rc._F_row.cache_clear()
         pal._F_hat_row.cache_clear()
+        comp._P_row.cache_clear()
         comp._classes.cache_clear()
         assert [count(*t) for t in reversed(triples)] == want[::-1]
         assert [count(*t) for t in triples] == want
@@ -168,10 +174,81 @@ def test_partition_kernel_against_dp():
     [(11, 7, 3), (11, 8, 4)],            # t = 4, bounds (4, 3) and (3, 4)
 ])
 def test_partition_kernel_key_is_shared_across_orders(triples):
+    # the kernel's keys (t, a, b) = (x - k, n - x, k) of the cells (n, x, k),
+    # which P reads from its rows at these x
     comp._classes.cache_clear()
-    for triple in triples:
-        comp.P(*triple)
+    for n, x, k in triples:
+        comp._bounded_partitions(x - k, n - x, k)
     assert comp._classes.cache_info().currsize == 1
+
+
+def test_P_row_against_dp():
+    for n in range(61):
+        for x in range(n + 1):
+            want = [int(x == 0)] + [box_partitions(x - k, n - x, k) for k in range(1, x + 1)]
+            assert list(comp._P_row(n, x)) == want, (n, x)
+
+
+# rows up to the row side, n up to 10^6 where x is small; a row's kernel
+# cells cost up to about a second at x = 512, so a sample of them is read
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, comp._ROW_SIDE).flatmap(lambda x: st.tuples(
+    st.integers(x, 10**6 if x <= 60 else 2 * x + 100), st.just(x),
+    st.lists(st.integers(0, x), min_size=1, max_size=12))))
+@example((513, 512, [0, 1, 2, 170, 256, 511, 512]))
+@example((1100, 512, [1, 3, 170, 341, 512]))
+@example((10**6, 60, list(range(61))))
+def test_P_row_equals_kernel_cells(case):
+    n, x, ks = case
+    row = comp._P_row(n, x)
+    assert len(row) == x + 1
+    for k in ks:
+        want = comp._bounded_partitions(x - k, n - x, k) if k else int(x == 0)
+        assert row[k] == want, (n, x, k)
+
+
+def test_P_row_prefix_sums_are_bounded_partitions():
+    # summed over j <= k: the partitions of x into at most n - x + 1 parts <= k
+    for n, x in [*((n, x) for n in range(31) for x in range(n + 1)),
+                 (300, 150), (301, 299), (1000, 80), (10**6, 12)]:
+        want = [comp._bounded_partitions(x, n - x + 1, k) for k in range(x + 1)]
+        assert list(accumulate(comp._P_row(n, x))) == want, (n, x)
+
+
+def test_kernel_cells_read_no_P_row():
+    comp._P_row.cache_clear()
+    comp.P(4600, 3000, 3)
+    comp.P_hat(9201, 6000, 3)
+    for x in range(31):
+        for k in range(x + 1):
+            comp.P_hat(30, x, k)
+    assert comp._P_row.cache_info().currsize == 0
+
+
+def test_P_row_cache_is_bounded():
+    comp._P_row.cache_clear()
+    for n in range(1, 100):
+        comp.P(n, 1, 1)
+    assert comp._P_row.cache_info().currsize == 64
+
+
+# the P rows of the benchmark's queries workload: moderate n with x at a
+# share of n, and large n with x <= 12
+QUERY_ROWS = [*((n, round(share * n)) for n, share in zip(
+                  (22, 33, 44, 55, 66, 77, 88, 99, 108),
+                  (0.5, 0.2, 0.8, 0.35, 0.65, 0.5, 0.25, 0.75, 0.45))),
+              *((round(10 ** (3 + j / 4)), x)
+                for j, x in enumerate((1, 7, 6, 11, 4, 9, 2, 12, 5, 10, 3, 8)))]
+
+
+def test_second_pass_over_query_rows_builds_no_row():
+    comp._P_row.cache_clear()
+    for _ in range(2):
+        for n, x in QUERY_ROWS:
+            for k in range(x + 1):
+                comp.P(n, x, k)
+        info = comp._P_row.cache_info()
+        assert info.misses == info.currsize == len(QUERY_ROWS)
 
 
 @pytest.mark.parametrize("h", [*range(31), 1000, 10**5])

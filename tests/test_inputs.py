@@ -75,6 +75,7 @@ def bad_calls():
 def clear_caches():
     rc._F_row.cache_clear()
     pal._F_hat_row.cache_clear()
+    comp._P_row.cache_clear()
     comp._classes.cache_clear()
 
 
