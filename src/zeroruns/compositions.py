@@ -4,10 +4,13 @@ A composition of m corresponds to a word of length m - 1 (see
 oracle.string_to_composition), under which the largest summand is the longest
 zero-run plus one and two words represent the same partition of m exactly
 when their zero-run multisets coincide.  P(n, x, k) below counts those
-multiset classes inside one (n, x, k) word class.  For x <= _ROW_SIDE a cell
-is read from its whole row, _P_row, one Gaussian sweep over k that the cells
-of one row share; past it, and for P_hat and P_total, the cell kernel
-_bounded_partitions computes one Gaussian coefficient.
+multiset classes inside one (n, x, k) word class: a coefficient of a
+Gaussian binomial.  One generator, _gaussian, steps [m+k choose k]_q over k
+and is the only such loop.  For x <= _ROW_SIDE a cell is read from its whole
+row, _P_row, one pass that the cells of one row share and the only partition
+cache; past it, and for P_hat, _bounded_partitions and _box_sum read the
+coefficients they need from one uncached pass each.  P_total reads one pass
+of its own.
 """
 
 from __future__ import annotations
@@ -127,74 +130,83 @@ def P(n: int, x: int, k: int) -> int:
 _ROW_SIDE = 512
 
 
-@lru_cache(maxsize=64)
-def _P_row(n: int, x: int) -> tuple[int, ...]:
-    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept for the last 64
-    rows read; cell 0 is [x == 0].  With m = n - x, the cell k >= 1 is the
-    coefficient of q^(x-k) in G_k = [m+k choose k]_q, a polynomial of degree
-    mk, and G_k = G_(k-1) (1 - q^(m+k)) / (1 - q^k): two in-place passes
-    over the coefficients up to degree min(x - k, mk), as no later cell
-    reads above x - k, so a row costs at most about x^2 additions.  The
-    arguments are not checked; P checks them."""
-    m = n - x
-    coeffs = [1] + [0] * x
-    row = [int(x == 0)]
-    for k in range(1, x + 1):
-        top = min(x - k, m * k)
+def _gaussian(m: int, tops):
+    """Yield the coefficient list of G_k = [m+k choose k]_q for k = 0, 1,
+    ..., len(tops) - 1, each up to degree tops[k], a non-increasing sequence.
+    G_0 = 1, and G_k = G_(k-1) (1 - q^(m+k)) / (1 - q^k): two in-place
+    passes over the coefficients up to degree min(tops[k], mk), the degree of
+    G_k.  It is one list, updated in place: read it before the next step.
+    Above tops[k] its entries are stale, and no later step reads them."""
+    coeffs = [1] + [0] * tops[0]
+    yield coeffs
+    for k, top in enumerate(tops[1:], 1):
+        if top > m * k:  # the degree of G_k; cheaper than min() on short rows
+            top = m * k
         for s in range(top, m + k - 1, -1):
             coeffs[s] -= coeffs[s - m - k]
         for s in range(k, top + 1):
             coeffs[s] += coeffs[s - k]
-        row.append(coeffs[x - k])
-    return tuple(row)
+        yield coeffs
+
+
+@lru_cache(maxsize=64)
+def _P_row(n: int, x: int) -> tuple[int, ...]:
+    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept for the last 64
+    rows read.  With m = n - x, cell k is the coefficient of q^(x-k) in
+    G_k = [m+k choose k]_q (cell 0 is [x == 0], from G_0 = 1), and no later
+    cell reads above x - k: one pass of _gaussian with the caps x - k, at
+    most about x^2 additions a row.  The arguments are not checked; P
+    checks them."""
+    passes = _gaussian(n - x, range(x, -1, -1))
+    return tuple([coeffs[x - k] for k, coeffs in enumerate(passes)])
 
 
 def _bounded_partitions(t: int, a: int, b: int) -> int:
-    """Partitions of t into at most a parts, each at most b (t, a, b >= 0).
+    """Partitions of t into at most a parts, each at most b (t, a, b >= 0)."""
+    return _box_sum((t,), a, b)
 
-    No part exceeds t and no partition of t has more than t parts, so both
-    bounds are clipped to t, and conjugation swaps them: the cached kernel
-    sees one key per class of (t, a, b), shared across orders n.
+
+def _box_sum(ts, a: int, b: int) -> int:
+    """The partitions of t into at most a parts, each at most b, summed over
+    the t in ts (a non-empty collection, a, b, t >= 0), from one pass.
+
+    Each is the coefficient of q^t in [a+b choose a]_q.  No part exceeds t
+    and no partition of t has more than t parts, so both bounds are clipped
+    to the largest t, and conjugation swaps them: a <= b, so a pass takes at
+    most a steps.  The coefficients are symmetric up to the degree ab, so a
+    t above ab/2 reads ab - t, and a t above ab gives 0.  Past step t no
+    factor changes coefficient t, so the pass stops at the largest t read.
     """
-    if a > t:
-        a = t
-    if b > t:
-        b = t
-    return _classes(t, a, b) if a <= b else _classes(t, b, a)
-
-
-@lru_cache(maxsize=None)
-def _classes(t: int, a: int, b: int) -> int:
-    """_bounded_partitions on its normalised key a <= b <= t: the cells of P
-    past _ROW_SIDE, of P_hat and of P_total."""
-    # [a+b choose a]_q = prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) has
-    # symmetric coefficients up to degree ab: read the lower half, and stop
-    # at i = degree, past which the factors leave the coefficients alone.
-    degree = min(t, a * b - t)
-    if degree < 0:
-        return 0  # t > ab: no partition fits
-    coeffs = [1] + [0] * degree
-    for i in range(1, min(a, degree) + 1):
-        for s in range(degree, b + i - 1, -1):
-            coeffs[s] -= coeffs[s - b - i]
-        for s in range(i, degree + 1):
-            coeffs[s] += coeffs[s - i]
-    return coeffs[degree]
+    a, b = sorted((min(a, max(ts)), min(b, max(ts))))
+    ts = [min(t, a * b - t) for t in ts]
+    top = max(ts)
+    if top < 0:
+        return 0  # every t > ab: no partition fits
+    *_, coeffs = _gaussian(b, [top] * (min(a, top) + 1))
+    return sum(coeffs[t] for t in ts if t >= 0)
 
 
 def P_total(n: int) -> int:
-    """The number of partitions of n + 1: summed over k, P(n, x, k) counts the
-    partitions of x into at most n - x + 1 parts, one kernel call per x
-    (Andrews, The Theory of Partitions, ch. 3)."""
+    """The number of partitions of n + 1, from one pass of _gaussian.
+
+    Summed over k, P(n, x, k) counts the partitions of x into at most
+    n - x + 1 parts, or by conjugation the partitions of x with parts at most
+    a = min(x, n + 1 - x) (Andrews, The Theory of Partitions, ch. 3).  With
+    m = n + 1 and the caps n + 1 - a, no multiplication by 1 - q^(m+a) fires,
+    so after step a the list holds the partitions into parts at most a:
+    coefficient x at step a, about n^2/4 additions and no cache.
+    """
     require_ints(n)
-    return sum(_bounded_partitions(x, n - x + 1, x) for x in range(n + 1))
+    passes = _gaussian(n + 1, range(n + 1, n - (n + 1) // 2, -1)) if n >= 0 else ()
+    # x = a and x = n + 1 - a read step a; a set counts the middle x of odd n once
+    return sum(coeffs[x] for a, coeffs in enumerate(passes) for x in {a, n + 1 - a} if x <= n)
 
 
 def partition_function(m: int) -> int:
     """Classical p(m) via Euler's pentagonal-number recurrence.
 
-    Deliberately shares no code with P: it is the independent cross-check
-    for P_total(m - 1).
+    Deliberately shares no code with P or _gaussian: it is the independent
+    cross-check for P_total(m - 1), which reads the Gaussian pass.
     """
     require_ints(m)
     return _partition_numbers(m)[-1] if m >= 0 else 0
@@ -219,16 +231,23 @@ def P_hat(n: int, x: int, k: int) -> int:
     A palindrome's multiset is its half's doubled, plus the central block
     0^c when c > 0, the one part of odd multiplicity: classes with different
     centres never meet.  So P_hat sums over the half-word classes of
-    palindromic._halves: P(h, y, k), one coefficient of the kernel, for a
-    half whose longest run is exactly k, and the partitions of y into at most
-    h - y + 1 parts, each at most k, for a half beside a central block 0^k.
+    palindromic._halves: P(h, y, k) for a half whose longest run is exactly
+    k, and the partitions of y into at most h - y + 1 parts, each at most k,
+    for a half beside a central block 0^k.  Every exact class of one cell has
+    the same h - y ones, so P(h, y, k), the coefficient of q^(y-k) in
+    [h-y+k choose k]_q, reads one polynomial for all of them: one _box_sum.
     A lone cell reads no P row.  Raises ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    return sum(_bounded_partitions(y - k, h - y, k) if exact
-               else _bounded_partitions(y, h - y + 1, k)
-               for h, y, exact in _halves(n, x, k))
+    total, exact_ts, ones = 0, [], 0
+    for h, y, exact in _halves(n, x, k):
+        if exact:
+            exact_ts.append(y - k)
+            ones = h - y
+        else:
+            total += _bounded_partitions(y, h - y + 1, k)
+    return total + (_box_sum(exact_ts, ones, k) if exact_ts else 0)
 
 
 def P_hat_total(n: int) -> int:

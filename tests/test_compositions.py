@@ -124,7 +124,6 @@ def test_P_does_not_depend_on_warm_state_or_call_order():
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     want = [table.get((x, k), 0) for _, x, k in triples]
     comp._P_row.cache_clear()
-    comp._classes.cache_clear()
     assert [comp.P(*t) for t in reversed(triples)] == want[::-1]
     assert [comp.P(*t) for t in triples] == want
 
@@ -138,12 +137,10 @@ def test_palindromic_layer_does_not_depend_on_warm_state_or_call_order():
         rc._F_row.cache_clear()
         pal._F_hat_row.cache_clear()
         comp._P_row.cache_clear()
-        comp._classes.cache_clear()
         assert [count(*t) for t in triples] == want
         rc._F_row.cache_clear()
         pal._F_hat_row.cache_clear()
         comp._P_row.cache_clear()
-        comp._classes.cache_clear()
         assert [count(*t) for t in reversed(triples)] == want[::-1]
         assert [count(*t) for t in triples] == want
 
@@ -160,8 +157,8 @@ def box_partitions(t, a, b):
 
 
 def test_partition_kernel_against_dp():
-    # bounds on both sides of t, so every clipped and swapped key is reached
-    comp._classes.cache_clear()
+    # bounds on both sides of t, so every clipped, swapped and reflected
+    # coefficient is reached, and t > ab too
     for t in range(41):
         for a in range(46):
             for b in range(46):
@@ -174,12 +171,12 @@ def test_partition_kernel_against_dp():
     [(11, 7, 3), (11, 8, 4)],            # t = 4, bounds (4, 3) and (3, 4)
 ])
 def test_partition_kernel_key_is_shared_across_orders(triples):
-    # the kernel's keys (t, a, b) = (x - k, n - x, k) of the cells (n, x, k),
-    # which P reads from its rows at these x
-    comp._classes.cache_clear()
-    for n, x, k in triples:
-        comp._bounded_partitions(x - k, n - x, k)
-    assert comp._classes.cache_info().currsize == 1
+    # the kernel cells (t, a, b) = (x - k, n - x, k) of the cells (n, x, k):
+    # bounds clipped to t and swapped by conjugation give one class, one value
+    values = {comp._bounded_partitions(x - k, n - x, k) for n, x, k in triples}
+    assert len(values) == 1
+    n, x, k = triples[0]
+    assert values == {box_partitions(x - k, n - x, k)}
 
 
 def test_P_row_against_dp():
@@ -223,6 +220,30 @@ def test_kernel_cells_read_no_P_row():
         for k in range(x + 1):
             comp.P_hat(30, x, k)
     assert comp._P_row.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 61, 512, 513, 1000])
+def test_rows_with_no_ones(n):
+    # x = n: m = 0, G_k = 1 for every k, so only the cell k = n is 1
+    assert comp._P_row(n, n) == tuple(int(k == n) for k in range(n + 1))
+    assert [comp.P(n, n, k) for k in (0, 1, n - 1, n)] == [int(k == n) for k in (0, 1, n - 1, n)]
+
+
+@pytest.mark.parametrize("t, a, b", [(41, 5, 8), (13, 3, 4), (10**4, 3, 7), (901, 30, 30),
+                                     (3, 1, 2), (1, 0, 5), (5, 5, 0)])
+def test_kernel_cells_past_the_degree_are_empty(t, a, b):
+    # t > ab: no partition of t fits in the a-by-b box
+    assert comp._bounded_partitions(t, a, b) == 0
+    assert comp._bounded_partitions(t - 1, a, b) == box_partitions(t - 1, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 45), min_size=1, max_size=8), st.integers(0, 12), st.integers(0, 12))
+@example([0], 0, 0)
+@example([6, 7, 8, 30], 3, 4)  # below, at and above ab/2, and past ab
+@example([5, 6, 7, 8], 4, 3)
+def test_box_sum_is_one_pass_over_its_degrees(ts, a, b):
+    assert comp._box_sum(ts, a, b) == sum(box_partitions(t, a, b) for t in ts)
 
 
 def test_P_row_cache_is_bounded():
@@ -367,6 +388,27 @@ def test_totals_equal_per_cell_sums():
         assert comp.P_hat_total(n) == P_hat_total_per_cell(n), n
 
 
+def test_P_total_equals_bounded_partition_sums():
+    for n in range(-3, 61):
+        assert comp.P_total(n) == sum(box_partitions(x, n - x + 1, x) for x in range(n + 1)), n
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_P_total_at_large_orders(n):
+    assert comp.P_total(n) == comp.partition_function(n + 1)
+
+
+@pytest.mark.parametrize("n", [119, 120])
+def test_every_P_hat_cell_sums_to_the_pentagonal_total(n):
+    total = sum(comp.P_hat(n, x, k) for x in range(n + 1) for k in range(x + 1))
+    assert total == comp.P_hat_total(n)
+
+
+def test_every_P_cell_of_order_200_sums_to_P_total():
+    total = sum(comp.P(200, x, k) for x in range(201) for k in range(x + 1))
+    assert total == comp.P_total(200) == comp.partition_function(201)
+
+
 def test_totals_at_large_n():
     assert comp.P_total(300) == comp.partition_function(301)
     for n in (300, 301):
@@ -376,10 +418,14 @@ def test_totals_at_large_n():
 
 
 def test_P_hat_total_leaves_the_gaussian_kernel_cold():
-    # the pentagonal list p(0..ceil(n/2)) answers it: no _classes entry
-    comp._classes.cache_clear()
+    # the pentagonal list p(0..ceil(n/2)) answers it; the kernel keeps no
+    # cache, and _P_row is the only partition cache
+    assert not hasattr(comp._bounded_partitions, "cache_info")
+    assert [name for name, f in vars(comp).items()
+            if hasattr(f, "cache_info") and f.__module__ == comp.__name__] == ["_P_row"]
+    comp._P_row.cache_clear()
     comp.P_hat_total(300)
-    assert comp._classes.cache_info().currsize == 0
+    assert comp._P_row.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", range(0, 15))

@@ -76,7 +76,6 @@ def clear_caches():
     rc._F_row.cache_clear()
     pal._F_hat_row.cache_clear()
     comp._P_row.cache_clear()
-    comp._classes.cache_clear()
 
 
 @pytest.mark.parametrize("func, good, bad", bad_calls())

@@ -164,9 +164,13 @@ def test_second_pass_over_rows_adds_no_cache_misses():
 def test_matrix_builds_leave_the_kernel_caches_empty():
     # the stepping cell kernel keeps no cache, and the builds write only the
     # two bounded row caches (test_large_n.test_vector_cache_is_bounded),
-    # never the Gaussian kernel's
+    # never a partition cache; the Gaussian kernel keeps none, and _P_row is
+    # the only one
     assert not hasattr(rc._bounded, "cache_info")
-    comp._classes.cache_clear()
+    assert not hasattr(comp._bounded_partitions, "cache_info")
+    assert [name for name, f in vars(comp).items()
+            if hasattr(f, "cache_info") and f.__module__ == comp.__name__] == ["_P_row"]
+    comp._P_row.cache_clear()
     mat.build_matrix(300)
     mat.build_matrix(300, "palindromic")
-    assert comp._classes.cache_info().currsize == 0
+    assert comp._P_row.cache_info().currsize == 0
