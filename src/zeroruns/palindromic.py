@@ -1,8 +1,10 @@
 """Exact counts of palindromic binary strings by zero count and longest zero-run.
 
 F_hat reads its cells from the cached rows of _F_hat_row, which writes the
-case split of _halves once per row (n, x).  Past the dot side, _F_hat_cell
-answers one cell from the classes of _halves and the stepping runcount._bounded.
+case split of _halves once per row (n, x): every half row of one row has the
+same ones, so one pair of runcount._binomials serves them all, each half row
+read from its own shift d.  Past the dot side, _F_hat_cell answers one cell
+from the classes of _halves and the stepping runcount._bounded.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .runcount import (SupportSet, _bounded, _bounded_row, _dot_side, _F_row, binomial,
-                       feasible, not_ints, require_ints)
+from .runcount import (SupportSet, _binomials, _bounded, _bounded_row, _dot_side, _F_row,
+                       binomial, feasible, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -97,11 +99,13 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
 
     x = n is the all-zero word alone, at k = n, and odd n with even x has
     the halves of the plain row (n // 2, x // 2).  Past those, n - x odd
-    admits no palindrome.  Otherwise each centre length c = n (mod 2) with
-    c <= x has the half row (h, y) = ((n - c)/2 - 1, (x - c)/2): it gives
-    the cell k = c the half words with runs at most min(c, y), and each
-    k with c < k <= y the half words with longest run exactly k.  No cell
-    reads A_j(h, y) for j < c, so the half row starts at j = c.
+    admits no palindrome.  Otherwise each centre length c = n (mod 2) + 2d
+    with c <= x has the half row (h - d, y - d), with (h, y) = (n // 2 - 1,
+    (x - n % 2) // 2): it gives the cell k = c the half words with runs at
+    most min(c, y - d), and each k with c < k <= y - d the half words with
+    longest run exactly k.  Every half row has the same m = h - y ones, so
+    one pair of _binomials(h, y) serves them all, each read from shift d,
+    and no cell reads A_j(h - d, y - d) for j < c, so it starts at j = c.
     """
     if x == n:
         return (0,) * n + (1,)
@@ -109,14 +113,13 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
         return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
     row = [0] * (x + 1)
     if (n - x) % 2 == 0:
-        for c in range(n % 2, x + 1, 2):
-            h, y = (n - c) // 2 - 1, (x - c) // 2
-            if c >= y:
-                row[c] += math.comb(h, y)
-                continue
-            bounded = _bounded_row(h, y, c)
+        h, y = n // 2 - 1, (x - n % 2) // 2
+        signs, column = _binomials(h, y)
+        for d in range(y + 1):
+            c = n % 2 + 2 * d
+            bounded = _bounded_row(h - y, signs, column, d, min(c, y - d))
             row[c] += bounded[0]
-            for k in range(c + 1, y + 1):
+            for k in range(c + 1, y - d + 1):
                 row[k] += bounded[k - c] - bounded[k - c - 1]
     return tuple(row)
 

@@ -122,31 +122,32 @@ def F_closed_high_k(n: int, x: int, k: int) -> int:
     return 2 * binomial(n - k - 1, x - k) + (n - k - 1) * binomial(n - k - 2, x - k)
 
 
-def _binomials(n: int, x: int, top: int) -> tuple[list[int], list[int]]:
-    """The row (-1)^j C(m+1, j), 0 <= j <= min(top, m + 1), and the column
+def _binomials(n: int, x: int) -> tuple[list[int], list[int]]:
+    """The row (-1)^j C(m+1, j), 0 <= j <= min(x // 2, m + 1), and the column
     C(n - t, m), 0 <= t <= x, with m = n - x: A_k(n, x) for k >= 1 is a dot
-    product of the two (see _bounded), and reads the row up to x // (k + 1).
-    Each entry is the one before it times an exact one-factor ratio, the
-    column built down from C(m, m)."""
+    product of the two (see _bounded_row), and reads the row up to
+    x // (k + 1) <= x // 2.  The tail column[d:] is the column of the row
+    (n - d, x - d), which has the same m ones, so one pair serves every such
+    row.  Each entry is the one before it times an exact one-factor ratio,
+    the column built down from C(m, m)."""
     m = n - x
     column = [1] * (x + 1)
     for t in range(x, 0, -1):
         column[t - 1] = column[t] * (n - t + 1) // (x - t + 1)
     row = [1]
-    for j in range(1, min(top, m + 1) + 1):
+    for j in range(1, min(x // 2, m + 1) + 1):
         row.append(-row[-1] * (m + 2 - j) // j)
     return row, column
 
 
-def _bounded_row(n: int, x: int, lo: int) -> list[int]:
-    """[A_k(n, x) for lo <= k <= x], 0 <= x <= n and lo >= 0: the dot
-    products of the row with every (k+1)-th column entry of one pair of
-    _binomials built for this call alone, 0 wherever x > (m + 1) k (so A_0
-    reads no vector)."""
-    m = n - x
-    row, column = _binomials(n, x, x // max(lo + 1, 2))
-    return [sum(map(mul, row, column[::k + 1])) if x <= (m + 1) * k else 0
-            for k in range(lo, x + 1)]
+def _bounded_row(m: int, row: list[int], column: list[int], d: int, lo: int) -> list[int]:
+    """[A_k(m + y, y) for lo <= k <= y], with y = len(column) - 1 - d and
+    0 <= lo <= y: the dot products of the row of a pair of _binomials with
+    m ones and every (k+1)-th entry of its column from shift d on, 0
+    wherever y > (m + 1) k (so A_0 reads no vector)."""
+    y = len(column) - 1 - d
+    return [sum(map(mul, row, column[d::k + 1])) if y <= (m + 1) * k else 0
+            for k in range(lo, y + 1)]
 
 
 def _dot_side(n: int, x: int) -> bool:
@@ -161,10 +162,10 @@ def _dot_side(n: int, x: int) -> bool:
 @lru_cache(maxsize=64)
 def _F_row(n: int, x: int) -> tuple[int, ...]:
     """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the differences of
-    consecutive A_k from _bounded_row, kept for the last 64 rows read.  A
-    row on the dot side holds at most about 4 MB, at (8191, 4096).  The
-    arguments are not checked; F and build_matrix check them."""
-    bounded = _bounded_row(n, x, 0)
+    consecutive A_k from _bounded_row at d = 0, kept for the last 64 rows
+    read.  A row on the dot side holds at most about 4 MB, at (8191, 4096).
+    The arguments are not checked; F and build_matrix check them."""
+    bounded = _bounded_row(n - x, *_binomials(n, x), 0, 0)
     return (bounded[0], *map(sub, bounded[1:], bounded))
 
 

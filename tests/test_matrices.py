@@ -123,7 +123,8 @@ def test_row_builds_equal_cellwise_counts(kind):
 
 
 # the palindromic row's cases: x = n, odd n with even x, odd n - x, and the
-# centre-length loop on odd and on even n
+# centre-length loop on odd and on even n, with its smallest rows and the
+# rows x = n - 2 whose half rows hold no ones
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 @example((600, 0))
@@ -134,6 +135,11 @@ def test_row_builds_equal_cellwise_counts(kind):
 @example((599, 300))
 @example((599, 301))
 @example((600, 300))
+@example((600, 598))
+@example((599, 597))
+@example((2, 0))
+@example((3, 1))
+@example((4, 2))
 def test_rows_equal_cells_to_order_600(row):
     # F and F_hat read these rows, so the rows are checked against the
     # stepping kernel, which builds no vectors
@@ -141,6 +147,25 @@ def test_rows_equal_cells_to_order_600(row):
     assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k) - rc._bounded(n, x, k - 1)
                                     for k in range(x + 1))
     assert pal._F_hat_row(n, x) == tuple(pal._F_hat_cell(n, x, k) for k in range(x + 1))
+
+
+@pytest.mark.parametrize("row", [(61, 31), (60, 30), (61, 59), (60, 0)])
+def test_palindromic_row_builds_one_pair_of_vectors(monkeypatch, row):
+    # every half row of (n, x) with n - x even has the same (n - x)/2 - 1
+    # ones, so the row reads them all from one pair, at shifts of its column
+    calls = []
+    build = rc._binomials
+
+    def spy(n, x):
+        calls.append((n, x))
+        return build(n, x)
+
+    monkeypatch.setattr(rc, "_binomials", spy)
+    monkeypatch.setattr(pal, "_binomials", spy)
+    n, x = row
+    assert pal._F_hat_row.__wrapped__(n, x) == tuple(pal._F_hat_cell(n, x, k)
+                                                     for k in range(x + 1))
+    assert calls == [(n // 2 - 1, (x - n % 2) // 2)]
 
 
 def test_second_pass_over_rows_adds_no_cache_misses():
