@@ -2,18 +2,20 @@
 
 F_hat reads its cells from the cached rows of _F_hat_row, which writes the
 case split of _halves once per row (n, x): every half row of one row has the
-same ones, so one pair of runcount._binomials serves them all, each half row
-read from its own shift d.  Past the dot side, _F_hat_cell answers one cell
-from the classes of _halves and the stepping runcount._bounded.
+same ones, so one pair of runcount._binomials serves them all, summed over
+the centres before the runs.  Past the dot side, _F_hat_cell answers one
+cell from the classes of _halves and the stepping runcount._bounded.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
-from .runcount import (SupportSet, _binomials, _bounded, _bounded_row, _dot_side, _F_row,
-                       binomial, feasible, not_ints, require_ints)
+from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, binomial,
+                       feasible, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -92,36 +94,52 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
 @lru_cache(maxsize=64)
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: every class of
-    _halves over the whole row, each half row read once, kept for the last
-    64 rows read.  A row whose half row is on the dot side holds at most
-    about 8 MB.  The arguments are not checked; F_hat and build_matrix
-    check them.
+    _halves over the whole row at once, kept for the last 64 rows read.  A
+    row whose half row is on the dot side holds at most about 8 MB.  The
+    arguments are not checked; F_hat and build_matrix check them.
 
-    x = n is the all-zero word alone, at k = n, and odd n with even x has
-    the halves of the plain row (n // 2, x // 2).  Past those, n - x odd
-    admits no palindrome.  Otherwise each centre length c = n (mod 2) + 2d
-    with c <= x has the half row (h - d, y - d), with (h, y) = (n // 2 - 1,
-    (x - n % 2) // 2): it gives the cell k = c the half words with runs at
-    most min(c, y - d), and each k with c < k <= y - d the half words with
-    longest run exactly k.  Every half row has the same m = h - y ones, so
-    one pair of _binomials(h, y) serves them all, each read from shift d,
-    and no cell reads A_j(h - d, y - d) for j < c, so it starts at j = c.
+    Odd n with even x has the halves of the plain row (n // 2, x // 2), and
+    odd n - x admits no palindrome.  Otherwise each centre length
+    c = n % 2 + 2d <= x has the half row (h - d, y - d), with (h, y) =
+    (n // 2 - 1, (x - n % 2) // 2): it gives the cell k = c the half words
+    with runs at most c, A_c(h - d, y - d), and each k > c those with
+    longest run exactly k, A_k - A_(k-1).  Every half row has the same
+    m = h - y ones, so with one pair signs, column = _binomials(h, y),
+    A_k(h - d, y - d) = sum_i signs[i] column[d + i(k+1)].  Summing over
+    the centres first turns the column into its tails, tails[t] =
+    sum_(u >= t) column[u] = C(h + 1 - t, m + 1).  With dot(k, a) =
+    sum_i signs[i] tails[a + i(k+1)] and d, odd = divmod(k - n % 2, 2), the
+    centres d' <= d add A_k and the centres c < k take away A_(k-1), so
+        F_hat(n, x, k) = dot(k, 0) - dot(k, d + 1)
+                         - [k > 1] (dot(k - 1, 0) - dot(k - 1, d + odd)),
+    where a slice past the end of tails reads as 0: four dot products of
+    about (y + 1) / k terms, as in a plain row.  At k = 1 the only centre
+    below k is c = 0, whose half row has y >= 1 zeros and no word with runs
+    of 0, so A_0 is never read.  Past k = y no half row holds a run of k
+    zeros, so only the centre c = k is left, its half words free, and the
+    cell needs no dot product: it is column[d] = C(h - d, y - d) when
+    k = n (mod 2), and 0 otherwise.  The all-zero word x = n needs no case
+    of its own: there m = -1, the column is 0 but for column[y] = 1, and the
+    same cells put its one palindrome at k = n.
     """
-    if x == n:
-        return (0,) * n + (1,)
     if n % 2 and x % 2 == 0:
         return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
-    row = [0] * (x + 1)
-    if (n - x) % 2 == 0:
-        h, y = n // 2 - 1, (x - n % 2) // 2
-        signs, column = _binomials(h, y)
-        for d in range(y + 1):
-            c = n % 2 + 2 * d
-            bounded = _bounded_row(h - y, signs, column, d, min(c, y - d))
-            row[c] += bounded[0]
-            for k in range(c + 1, y - d + 1):
-                row[k] += bounded[k - c] - bounded[k - c - 1]
-    return tuple(row)
+    if (n - x) % 2:
+        return (0,) * (x + 1)
+    h, y = n // 2 - 1, (x - n % 2) // 2
+    signs, column = _binomials(h, y)
+    tails = list(accumulate(reversed(column)))[::-1]
+
+    def dot(k: int, a: int) -> int:
+        return sum(map(mul, signs, tails[a::k + 1]))
+
+    def cell(k: int) -> int:
+        d, odd = divmod(k - n % 2, 2)
+        if k > y:
+            return 0 if odd else column[d]
+        return dot(k, 0) - dot(k, d + 1) - (k > 1 and dot(k - 1, 0) - dot(k - 1, d + odd))
+
+    return (int(x == 0), *map(cell, range(1, x + 1)))
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:

@@ -124,12 +124,12 @@ def F_closed_high_k(n: int, x: int, k: int) -> int:
 
 def _binomials(n: int, x: int) -> tuple[list[int], list[int]]:
     """The row (-1)^j C(m+1, j), 0 <= j <= min(x // 2, m + 1), and the column
-    C(n - t, m), 0 <= t <= x, with m = n - x: A_k(n, x) for k >= 1 is a dot
-    product of the two (see _bounded_row), and reads the row up to
-    x // (k + 1) <= x // 2.  The tail column[d:] is the column of the row
-    (n - d, x - d), which has the same m ones, so one pair serves every such
-    row.  Each entry is the one before it times an exact one-factor ratio,
-    the column built down from C(m, m)."""
+    C(n - t, m), 0 <= t <= x, with m = n - x: A_k(n, x) for k >= 1 is the
+    dot product of the row with every (k + 1)-th entry of the column, and
+    reads the row up to x // (k + 1) <= x // 2.  The rows (n - d, x - d)
+    have the same m ones, so one pair serves them all (palindromic._F_hat_row
+    sums over them at once).  Each entry is the one before it times an exact
+    one-factor ratio, the column built down from C(m, m)."""
     m = n - x
     column = [1] * (x + 1)
     for t in range(x, 0, -1):
@@ -138,16 +138,6 @@ def _binomials(n: int, x: int) -> tuple[list[int], list[int]]:
     for j in range(1, min(x // 2, m + 1) + 1):
         row.append(-row[-1] * (m + 2 - j) // j)
     return row, column
-
-
-def _bounded_row(m: int, row: list[int], column: list[int], d: int, lo: int) -> list[int]:
-    """[A_k(m + y, y) for lo <= k <= y], with y = len(column) - 1 - d and
-    0 <= lo <= y: the dot products of the row of a pair of _binomials with
-    m ones and every (k+1)-th entry of its column from shift d on, 0
-    wherever y > (m + 1) k (so A_0 reads no vector)."""
-    y = len(column) - 1 - d
-    return [sum(map(mul, row, column[d::k + 1])) if y <= (m + 1) * k else 0
-            for k in range(lo, y + 1)]
 
 
 def _dot_side(n: int, x: int) -> bool:
@@ -162,10 +152,13 @@ def _dot_side(n: int, x: int) -> bool:
 @lru_cache(maxsize=64)
 def _F_row(n: int, x: int) -> tuple[int, ...]:
     """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the differences of
-    consecutive A_k from _bounded_row at d = 0, kept for the last 64 rows
+    consecutive A_k, each one dot product of a pair of _binomials (0 wherever
+    x > (n - x + 1) k, so A_0 reads no vector), kept for the last 64 rows
     read.  A row on the dot side holds at most about 4 MB, at (8191, 4096).
     The arguments are not checked; F and build_matrix check them."""
-    bounded = _bounded_row(n - x, *_binomials(n, x), 0, 0)
+    signs, column = _binomials(n, x)
+    bounded = [sum(map(mul, signs, column[::k + 1])) if x <= (n - x + 1) * k else 0
+               for k in range(x + 1)]
     return (bounded[0], *map(sub, bounded[1:], bounded))
 
 

@@ -111,6 +111,15 @@ def test_palindromic_matrix_properties(n):
         assert mat.row_sums(matrix) == expected
 
 
+@pytest.mark.parametrize("n, kind", [(800, "plain"), (800, "palindromic"),
+                                     (801, "palindromic")])
+def test_column_sums_equal_run_avoiding_counts_at_scale(n, kind):
+    # the matrix comes from binomial dot products and the distribution from
+    # the run-avoiding recurrence of sequences._run_terms: no shared kernel
+    assert mat.col_sums(mat.build_matrix(n, kind)) == compositions_by_largest_summand(
+        n + 1, kind == "palindromic")
+
+
 def cellwise(n, kind):
     count = rc.F if kind == "plain" else pal.F_hat
     return tuple(tuple(count(n, x, k) for k in range(n + 1)) for x in range(n + 1))
@@ -122,9 +131,10 @@ def test_row_builds_equal_cellwise_counts(kind):
         assert mat.build_matrix(n, kind).rows == cellwise(n, kind), n
 
 
-# the palindromic row's cases: x = n, odd n with even x, odd n - x, and the
-# centre-length loop on odd and on even n, with its smallest rows and the
-# rows x = n - 2 whose half rows hold no ones
+# the palindromic row's cases: odd n with even x, odd n - x, and the sum over
+# centres on odd and on even n, x = n (no ones at all) and the rows x = n - 2
+# (half rows with no ones) among them; the smallest rows, y = 0 and y = 1,
+# are where k = 1 and the cells past k = y meet
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 @example((600, 0))
@@ -140,6 +150,10 @@ def test_row_builds_equal_cellwise_counts(kind):
 @example((2, 0))
 @example((3, 1))
 @example((4, 2))
+@example((0, 0))
+@example((1, 1))
+@example((599, 1))
+@example((600, 2))
 def test_rows_equal_cells_to_order_600(row):
     # F and F_hat read these rows, so the rows are checked against the
     # stepping kernel, which builds no vectors
@@ -149,10 +163,10 @@ def test_rows_equal_cells_to_order_600(row):
     assert pal._F_hat_row(n, x) == tuple(pal._F_hat_cell(n, x, k) for k in range(x + 1))
 
 
-@pytest.mark.parametrize("row", [(61, 31), (60, 30), (61, 59), (60, 0)])
+@pytest.mark.parametrize("row", [(61, 31), (60, 30), (61, 59), (60, 0), (60, 60), (61, 61)])
 def test_palindromic_row_builds_one_pair_of_vectors(monkeypatch, row):
     # every half row of (n, x) with n - x even has the same (n - x)/2 - 1
-    # ones, so the row reads them all from one pair, at shifts of its column
+    # ones, so the row sums them all from one pair, x = n included
     calls = []
     build = rc._binomials
 
