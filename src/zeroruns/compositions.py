@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .palindromic import F_hat, _F_hat_cell, _halves
+from .palindromic import F_hat, _F_hat_cell
 from .runcount import F, feasible, not_ints, require_ints
 from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
 
@@ -168,14 +168,15 @@ def _bounded_partitions(t: int, a: int, b: int) -> int:
 
 def _box_sum(ts, a: int, b: int) -> int:
     """The partitions of t into at most a parts, each at most b, summed over
-    the t in ts (a non-empty collection, a, b, t >= 0), from one pass.
+    the t in ts (a non-empty collection, a, b >= 0), from one pass.
 
     Each is the coefficient of q^t in [a+b choose a]_q.  No part exceeds t
     and no partition of t has more than t parts, so both bounds are clipped
     to the largest t, and conjugation swaps them: a <= b, so a pass takes at
     most a steps.  The coefficients are symmetric up to the degree ab, so a
-    t above ab/2 reads ab - t, and a t above ab gives 0.  Past step t no
-    factor changes coefficient t, so the pass stops at the largest t read.
+    t above ab/2 reads ab - t, and a t below 0 or above ab gives 0.  Past
+    step t no factor changes coefficient t, so the pass stops at the largest
+    t read.
     """
     a, b = sorted((min(a, max(ts)), min(b, max(ts))))
     ts = [min(t, a * b - t) for t in ts]
@@ -230,33 +231,37 @@ def P_hat(n: int, x: int, k: int) -> int:
 
     A palindrome's multiset is its half's doubled, plus the central block
     0^c when c > 0, the one part of odd multiplicity: classes with different
-    centres never meet.  So P_hat sums over the half-word classes of
-    palindromic._halves: P(h, y, k) for a half whose longest run is exactly
-    k, and the partitions of y into at most h - y + 1 parts, each at most k,
-    for a half beside a central block 0^k.  Every exact class of one cell has
-    the same h - y ones, so P(h, y, k), the coefficient of q^(y-k) in
-    [h-y+k choose k]_q, reads one polynomial for all of them: one _box_sum.
-    A lone cell reads no P row.  Raises ValueError on non-int arguments.
+    centres never meet.  So P_hat writes out the centre split of the
+    palindromic module.  Odd n with even x has a central one and counts as
+    its half row, P(n // 2, x // 2, k).  Otherwise let M = (n - x)/2.  A
+    central block 0^k, when k = n (mod 2), leaves the half (x - k)/2 zeros
+    in at most M runs, each at most k.  Each shorter centre c = n (mod 2),
+    c <= min(k - 1, x - 2k), leaves the half (x - c)/2 zeros with longest
+    run exactly k and M - 1 ones: the coefficient of q^t, t = (x - c)/2 - k,
+    in [M - 1 + k choose k]_q, the same polynomial for every c, so one
+    _box_sum reads them all.  A half too short for its zeros has t above
+    (M - 1) k and gives 0 there.  A lone cell reads no P row.  Raises
+    ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
-    total, exact_ts, ones = 0, [], 0
-    for h, y, exact in _halves(n, x, k):
-        if exact:
-            exact_ts.append(y - k)
-            ones = h - y
-        else:
-            total += _bounded_partitions(y, h - y + 1, k)
-    return total + (_box_sum(exact_ts, ones, k) if exact_ts else 0)
+    if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
+        return 0
+    if n % 2 and x % 2 == 0:
+        return _box_sum((x // 2 - k,), n // 2 - x // 2, k)
+    gaps = (n - x) // 2
+    total = _bounded_partitions((x - k) // 2, gaps, k) if (n - k) % 2 == 0 else 0
+    ts = [(x - c) // 2 - k for c in range(n % 2, min(k - 1, x - 2 * k) + 1, 2)]
+    return total + (_box_sum(ts, gaps - 1, k) if ts else 0)
 
 
 def P_hat_total(n: int) -> int:
     """Palindromic partition classes of n: 1 + sum_{h < n/2} P_total(h).  Each
     palindrome but 0^n reads A 1 0^c 1 reverse(A), or A 1 reverse(A) for odd n
-    (palindromic._halves): its multiset is A's doubled plus c, the one part of
-    odd multiplicity, and each h < n/2 comes from one c (Andrews, ch. 3).  As
-    P_total(h) = p(h + 1), that is sum_{m <= ceil(n/2)} p(m): one pentagonal
-    list, no Gaussian kernel."""
+    (the centre split of the palindromic module): its multiset is A's doubled
+    plus c, the one part of odd multiplicity, and each h < n/2 comes from one
+    c (Andrews, ch. 3).  As P_total(h) = p(h + 1), that is
+    sum_{m <= ceil(n/2)} p(m): one pentagonal list, no Gaussian kernel."""
     require_ints(n)
     return sum(_partition_numbers((n + 1) // 2)) if n >= 0 else 0
 

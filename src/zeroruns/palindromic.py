@@ -1,10 +1,15 @@
 """Exact counts of palindromic binary strings by zero count and longest zero-run.
 
-F_hat reads its cells from the cached rows of _F_hat_row, which writes the
-case split of _halves once per row (n, x): every half row of one row has the
-same ones, so one pair of runcount._binomials serves them all, summed over
-the centres before the runs.  Past the dot side, _F_hat_cell answers one
-cell from the classes of _halves and the stepping runcount._bounded.
+A palindrome of odd length and even zero count has a central one between two
+mirrored halves, so it counts as its half.  Any other palindrome but the
+all-zero word reads A 1 0^c 1 reverse(A), with c = n (mod 2) and c <= k: a
+central block of length k frees the half A to any run length up to k, and a
+shorter one leaves the longest run k to A.  Every half of one row (n, x) has
+the same ones, so the centres sum in closed form.  F_hat reads its cells from
+the cached rows of _F_hat_row, which sums them from one pair of
+runcount._binomials; past the dot side, _F_hat_cell steps the same sum for one
+cell with runcount._bounded.  _positive_hat reads the support off the same
+split, and so does compositions.P_hat.
 """
 
 from __future__ import annotations
@@ -27,38 +32,6 @@ __all__ = [
 ]
 
 
-def _halves(n: int, x: int, k: int):
-    """Yield the non-empty half-word classes (h, y, exact) of the palindromic
-    class (n, x, k): the half words of length h with y zeros whose longest
-    run is exactly k (exact) or at most k (not exact).  Each palindrome has
-    its half in exactly one of them.
-
-    A palindrome of odd length and even zero count has a central one between
-    two mirrored halves.  Any other palindrome but the all-zero word reads
-    A 1 0^c 1 reverse(A), with c = n (mod 2) and c <= k: a central block of
-    length k frees the half to any run length up to k, and a shorter one
-    leaves the longest run k to the half.
-    """
-    if not feasible(n, x, k):
-        return
-    if x == n:
-        yield 0, 0, False  # the all-zero word: one class, an empty half
-    elif n % 2 and x % 2 == 0:
-        if feasible(n // 2, x // 2, k):
-            yield n // 2, x // 2, True
-    elif (n - x) % 2 == 0:
-        if (n - k) % 2 == 0:
-            yield (n - k) // 2 - 1, (x - k) // 2, False
-        # the half holds a run k, so c <= x - 2k; each step down in c gives it
-        # a zero and a place more, never easier to fill: stop at the first empty class
-        top = min(k - 1, x - 2 * k)
-        for c in range(top - (top - n) % 2, -1, -2):
-            h, y = (n - c) // 2 - 1, (x - c) // 2
-            if not feasible(h, y, k):
-                break
-            yield h, y, True
-
-
 def F_hat(n: int, x: int, k: int) -> int:
     """Palindromic class count, total on all integer triples.
 
@@ -77,26 +50,43 @@ def F_hat(n: int, x: int, k: int) -> int:
 
 
 def _F_hat_cell(n: int, x: int, k: int) -> int:
-    """F_hat(n, x, k) as a sum over the half-word classes of _halves, with
-    A_k(h, y) the stepping count of half words whose runs are all at most k
-    (runcount._bounded): A_k - A_(k-1) for an exact class, and A_k for the
-    others, its bound clipped to y.  The arguments are not checked."""
-    total = 0
-    for h, y, exact in _halves(n, x, k):
-        whole = math.comb(h, y)
-        if exact:
-            total += _bounded(h, y, k, whole) - _bounded(h, y, k - 1, whole)
-        else:
-            total += _bounded(h, y, min(k, y), whole)
-    return total
+    """F_hat(n, x, k) alone: the sum of _F_hat_row, with h, y and m as
+    there, and each dot product stepped.  dot(k, a) = sum_i (-1)^i C(m+1, i)
+    C(h + 1 - a - i(k+1), m + 1) counts the words of length h + 1 - a with
+    m + 1 ones whose zero-runs are all at most k but the last, which is free:
+    runcount._bounded(h + 1 - a, y - a, k, free=True).  The whole count
+    that each starts from, C(h + 1 - a, y - a), is C(h + 1, y) C(y, a) /
+    C(h + 1, a), so one math.comb of the row's size serves all four.  At
+    k = 1 the sum dot(1, 0) - dot(1, 1) telescopes to A_1(h, y) =
+    C(m + 1, y), the y zeros in distinct gaps among m + 1, and needs no
+    stepping.  Odd n with even x steps the plain pair A_k - A_(k-1) on the
+    half row (n // 2, x // 2).  The arguments are not checked; an empty
+    class gives 0.
+    """
+    if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
+        return 0
+    if x in (0, n):
+        return 1
+    if n % 2 and x % 2 == 0:
+        whole = math.comb(n // 2, x // 2)
+        return _bounded(n // 2, x // 2, k, whole) - _bounded(n // 2, x // 2, k - 1, whole)
+    h, y = n // 2 - 1, (x - n % 2) // 2
+    if k == 1:
+        return math.comb(h - y + 1, y)
+    whole = math.comb(h + 1, y)
+
+    def dot(k: int, a: int) -> int:
+        return _bounded(h + 1 - a, y - a, k, whole * math.comb(y, a) // math.comb(h + 1, a), True)
+
+    return _centre_split(n, y, dot, lambda d: math.comb(h - d, y - d))(k)
 
 
 @lru_cache(maxsize=64)
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
-    """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: every class of
-    _halves over the whole row at once, kept for the last 64 rows read.  A
-    row whose half row is on the dot side holds at most about 8 MB.  The
-    arguments are not checked; F_hat and build_matrix check them.
+    """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the centre split
+    of the module docstring over the whole row at once, kept for the last 64
+    rows read.  A row whose half row is on the dot side holds at most about
+    8 MB.  The arguments are not checked; F_hat and build_matrix check them.
 
     Odd n with even x has the halves of the plain row (n // 2, x // 2), and
     odd n - x admits no palindrome.  Otherwise each centre length
@@ -133,13 +123,21 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     def dot(k: int, a: int) -> int:
         return sum(map(mul, signs, tails[a::k + 1]))
 
+    return (int(x == 0), *map(_centre_split(n, y, dot, column.__getitem__), range(1, x + 1)))
+
+
+def _centre_split(n: int, y: int, dot, column):
+    """The cells k >= 1 of a palindromic row (n, x) with n - x even, as a
+    function of k, in the terms of _F_hat_row: four dot products dot(k, a),
+    or past k = y the one centre column(d) = C(h - d, y - d).  _F_hat_row
+    reads them from its vectors and _F_hat_cell steps them."""
     def cell(k: int) -> int:
         d, odd = divmod(k - n % 2, 2)
         if k > y:
-            return 0 if odd else column[d]
+            return 0 if odd else column(d)
         return dot(k, 0) - dot(k, d + 1) - (k > 1 and dot(k - 1, 0) - dot(k - 1, d + odd))
 
-    return (int(x == 0), *map(cell, range(1, x + 1)))
+    return cell
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:
@@ -165,11 +163,13 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     accepts e.g. (4, 1, 1) although no length-4 palindrome has a single zero.
 
     The inequality is plain feasibility, x + ceil(x/k) - 1 <= n.  Read off
-    _halves, the class is non-empty iff it holds and a parity term does:
+    the centre split (see the module docstring), the class is non-empty iff
+    it holds and a parity term does (_positive_hat, behind support_hat_set):
     x = n needs k = n; odd n with even x needs feasible((n-1)/2, x/2, k);
     otherwise x = n (mod 2) is required, and k = n (mod 2) suffices; else,
     with c* the largest c <= min(k-1, x-2k) of the parity of n, it needs
-    c* >= 0 and ceil((x-c*)/(2k)) <= (n-x)/2.
+    c* >= 0 and ceil((x-c*)/(2k)) <= (n-x)/2.  The last holds whenever the
+    inequality and c* >= 0 do, so the parity term reduces to x >= 2k there.
     """
     require_ints(n, x, k)
     if n < 1 or x < 1 or k < 1:
@@ -178,11 +178,27 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     return x + q - 1 <= n if x % k == 0 else x + q <= n
 
 
+def _positive_hat(n: int, x: int, k: int) -> bool:
+    """F_hat(n, x, k) > 0, by the criterion of lemma_positivity_hat's
+    docstring.  With x = n (mod 2) and M = (n - x)/2, a half beside a
+    central block 0^k holds (x - k)/2 zeros in M runs of at most k, which
+    fits iff x <= (2M + 1) k, that is iff (n, x, k) is feasible.  Otherwise
+    the centre c = min(k - 1, x - 2k), of the parity of n, must be >= 0 and
+    leaves the run k to its half, whose (x - c)/2 zeros need
+    ceil((x - c)/(2k)) <= M runs: that fails only at x = (2M + 1) k, where
+    x - c = 2Mk + 1 is odd.  The arguments are not checked."""
+    if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
+        return False
+    if n % 2 and x % 2 == 0:
+        return feasible(n // 2, x // 2, k)
+    return (n - k) % 2 == 0 or x >= 2 * k
+
+
 def support_hat_set(n: int) -> SupportSet:
-    """The pairs 0 <= k <= x <= n whose palindromic class has a half word."""
+    """The pairs 0 <= k <= x <= n whose palindromic class is non-empty."""
     require_ints(n)
     return SupportSet(n, frozenset(
-        (x, k) for x in range(n + 1) for k in range(x + 1) if any(_halves(n, x, k))))
+        (x, k) for x in range(n + 1) for k in range(x + 1) if _positive_hat(n, x, k)))
 
 
 def support_hat_size_formula(n: int) -> int:

@@ -162,34 +162,37 @@ def _F_row(n: int, x: int) -> tuple[int, ...]:
     return (bounded[0], *map(sub, bounded[1:], bounded))
 
 
-def _bounded(n: int, x: int, k: int, whole: int | None = None) -> int:
+def _bounded(n: int, x: int, k: int, whole: int | None = None, free: bool = False) -> int:
     """Words of length n with x zeros whose zero-runs all have length <= k,
-    by stepping; whole is C(n, x) where the caller already has it.
+    by stepping; whole is C(n, x) where the caller already has it.  With
+    free, the last gap is exempt: its run may have any length.
 
-    The zeros fill the m + 1 gaps around m = n - x ones, at most k per gap;
-    inclusion-exclusion over the j gaps forced past k gives
-        A_k(n, x) = sum_j (-1)^j C(m+1, j) C(n - j(k+1), m).
-    The sum is built upward from its last term, where u = x - j(k+1) <= k
-    makes C(m + u, u) cheap; each term is the one after it times an exact
-    ratio of falling factorials, so one cell costs O(x) factor
-    multiplications and holds only a few numbers at a time.  The j = 0
-    term is C(n, x).
+    The zeros fill the m + 1 gaps around m = n - x ones, at most k in each of
+    the g = m + 1 - free bounded gaps; inclusion-exclusion over the j gaps
+    forced past k gives
+        A_k(n, x) = sum_j (-1)^j C(g, j) C(n - j(k+1), m).
+    The sum is built upward from its last term, j = min(x // (k+1), g),
+    where C(n - j(k+1), m) = C(m + u, u) with u = x - j(k+1) is cheap when
+    the bound binds.  Each term is the one after it times an exact ratio,
+    C(n - j(k+1) + k + 1, m) / C(n - j(k+1), m) = C(n - (j-1)(k+1), k+1) /
+    C(x - (j-1)(k+1), k+1), so one cell costs about x // (k+1) such steps
+    and holds only a few numbers at a time.  The j = 0 term is C(n, x).
     """
     m = n - x
     if whole is None:
         whole = math.comb(n, x)
-    if k >= x:
-        return whole
-    if x > (m + 1) * k:
+    if not free and x > (m + 1) * k:
         return 0
-    j, u = divmod(x, k + 1)
-    term = (-1) ** j * math.comb(m + 1, j) * math.comb(m + u, u)
+    g = m + 1 - free
+    j = min(x // (k + 1), g)
+    if j == 0:
+        return whole
+    term = (-1) ** j * math.comb(g, j) * math.comb(n - j * (k + 1), m)
     total = whole + term
     for j in range(j, 1, -1):
-        term = (-term * j * math.perm(m + u + k + 1, k + 1)
-                // ((m + 2 - j) * math.perm(u + k + 1, k + 1)))
+        term = (-term * j * math.comb(n - (j - 1) * (k + 1), k + 1)
+                // ((g + 1 - j) * math.comb(x - (j - 1) * (k + 1), k + 1)))
         total += term
-        u += k + 1
     return total
 
 

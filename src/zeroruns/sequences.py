@@ -183,10 +183,11 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
     With n <= k every palindrome counts.  Otherwise each reads A 1 reverse(A)
     (odd n) or A 1 0^c 1 reverse(A) with c = n (mod 2) and c <= k, and its
     half A is any word of its length with runs at most k.  This is the centre
-    split of palindromic._halves without the zero count: _halves yields the
-    classes of one x whose longest run is exactly k, this counts runs at most
-    k over all x.  One pass of B_k (_run_terms) to length max(ns) // 2 gives
-    every term; the window holds the half lengths one term needs.
+    split of the palindromic module without the zero count: there the
+    centres of one x give the words whose longest run is exactly k, here
+    they count runs at most k over all x.  One pass of B_k (_run_terms) to
+    length max(ns) // 2 gives every term; the window holds the half lengths
+    one term needs.
     """
     terms = [1 << ((n + 1) // 2) for n in range(ns.start, min(ns.stop, k + 1))]
     rest = range(max(ns.start, k + 1), ns.stop)

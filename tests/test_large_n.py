@@ -12,11 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zeroruns
 from zeroruns import compositions as comp, matrices as mat, palindromic as pal, runcount as rc
+from test_palindromic import F_hat_per_cell
 
 
 def gaps_at_most_2(gaps, zeros):
@@ -37,14 +38,15 @@ def gaps_at_most_3(gaps, zeros):
     )
 
 
-def bounded_direct(n, x, k):
-    """Words of length n with x zeros and every zero-run <= k (k >= 0): the
-    inclusion-exclusion sum with one math.comb per term.  Terms past
-    j = m + 1 or j = x // (k + 1) vanish."""
+def bounded_direct(n, x, k, free=False):
+    """Words of length n with x zeros and every zero-run <= k (k >= 0), the
+    last run exempt when free: the inclusion-exclusion sum over the
+    m + 1 - free bounded gaps, with one math.comb per term.  Terms past
+    j = m + 1 - free or j = x // (k + 1) vanish."""
     m = n - x
     return sum(
-        (-1) ** j * math.comb(m + 1, j) * math.comb(n - j * (k + 1), m)
-        for j in range(min(m + 1, x // (k + 1)) + 1)
+        (-1) ** j * math.comb(m + 1 - free, j) * math.comb(n - j * (k + 1), m)
+        for j in range(min(m + 1 - free, x // (k + 1)) + 1)
     )
 
 
@@ -77,7 +79,9 @@ def test_bounded_against_direct_sum():
         for x in range(n + 1):
             # includes k > x, and the empty sums where x > (n - x + 1) k
             for k in range(n + 2):
-                assert rc._bounded(n, x, k) == bounded_direct(n, x, k), (n, x, k)
+                for free in (False, True):
+                    assert rc._bounded(n, x, k, free=free) == bounded_direct(n, x, k, free), (
+                        n, x, k, free)
 
 
 def rows(n_min, n_max, x_min, x_max):
@@ -181,6 +185,31 @@ def test_row_sum_and_diagonal_at_a_million():
 
 def test_half_length_row_at_3000():
     assert rc.F(3000, 1500, 3) == F_3000_1500_3
+
+
+# x just below n / 2 keeps the half row (n // 2, x // 2) past the dot side
+# for every n >= 9000, so F_hat steps these cells alone (_F_hat_cell)
+PAST_THE_GATE = st.integers(9000, 30000).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(n // 2 - 40, n // 2), st.integers(0, 40)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(PAST_THE_GATE)
+@example((9000, 4500, 1))
+@example((9001, 4499, 2))
+@example((9001, 4500, 3))
+def test_stepped_palindromic_cells_equal_per_centre_sums(cell):
+    # the reference sums rc.F over the centres one at a time, which no
+    # production path does any more
+    n, x, _ = cell
+    assert not rc._dot_side(n // 2, x // 2)
+    assert pal.F_hat(*cell) == F_hat_per_cell(*cell)
+
+
+def test_stepped_palindromic_cells_at_mid_k_equal_their_row():
+    row = pal._F_hat_row.__wrapped__(12000, 6000)
+    for k in (1500, 2000):
+        assert pal._F_hat_cell(12000, 6000, k) == row[k], k
 
 
 def test_palindromes_at_6001():

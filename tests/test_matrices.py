@@ -111,6 +111,15 @@ def test_palindromic_matrix_properties(n):
         assert mat.row_sums(matrix) == expected
 
 
+@pytest.mark.parametrize("n", range(0, 301, 3))
+def test_palindromic_support_is_the_nonzero_pattern_of_the_rows(n):
+    # support_hat_set reads a criterion, the rows sum dot products: the two
+    # share no code past feasibility
+    rows = mat.build_matrix(n, "palindromic").rows
+    pattern = {(x, k) for x, row in enumerate(rows) for k, count in enumerate(row) if count}
+    assert pal.support_hat_set(n).pairs == pattern
+
+
 @pytest.mark.parametrize("n, kind", [(800, "plain"), (800, "palindromic"),
                                      (801, "palindromic")])
 def test_column_sums_equal_run_avoiding_counts_at_scale(n, kind):
@@ -155,8 +164,11 @@ def test_row_builds_equal_cellwise_counts(kind):
 @example((599, 1))
 @example((600, 2))
 def test_rows_equal_cells_to_order_600(row):
-    # F and F_hat read these rows, so the rows are checked against the
-    # stepping kernel, which builds no vectors
+    # F and F_hat read these rows.  A plain row is checked against the
+    # stepping kernel, which builds no vectors.  A palindromic row and
+    # _F_hat_cell compute the same sums over centres, one by dot products of
+    # vectors and one by stepping each of them with _bounded; the per-centre
+    # reference of test_palindromic checks the sums themselves
     n, x = row
     assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k) - rc._bounded(n, x, k - 1)
                                     for k in range(x + 1))
