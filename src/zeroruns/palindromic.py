@@ -8,7 +8,7 @@ shorter one leaves the longest run k to A.  Every half of one row (n, x) has
 the same ones, so the centres sum in closed form.  F_hat reads its cells from
 the cached rows of _F_hat_row, which sums them from one pair of
 runcount._binomials; past the dot side, _F_hat_cell steps the same sum for one
-cell with runcount._bounded.  _positive_hat reads the support off the same
+cell with runcount._bounded.  support_hat_set reads the support off the same
 split, and so does compositions.P_hat.
 """
 
@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import mul
 
 from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, binomial,
-                       feasible, not_ints, require_ints)
+                       feasible, min_k, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -71,6 +71,9 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
         whole = math.comb(n // 2, x // 2)
         return _bounded(n // 2, x // 2, k, whole) - _bounded(n // 2, x // 2, k - 1, whole)
     h, y = n // 2 - 1, (x - n % 2) // 2
+    if k > y:  # only the centre c = k is left, its half free
+        d, odd = divmod(k - n % 2, 2)
+        return 0 if odd else math.comb(h - d, y - d)
     if k == 1:
         return math.comb(h - y + 1, y)
     whole = math.comb(h + 1, y)
@@ -78,7 +81,7 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     def dot(k: int, a: int) -> int:
         return _bounded(h + 1 - a, y - a, k, whole * math.comb(y, a) // math.comb(h + 1, a), True)
 
-    return _centre_split(n, y, dot, lambda d: math.comb(h - d, y - d))(k)
+    return _centre_cell(n, k, dot)
 
 
 @lru_cache(maxsize=64)
@@ -108,9 +111,10 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     of 0, so A_0 is never read.  Past k = y no half row holds a run of k
     zeros, so only the centre c = k is left, its half words free, and the
     cell needs no dot product: it is column[d] = C(h - d, y - d) when
-    k = n (mod 2), and 0 otherwise.  The all-zero word x = n needs no case
-    of its own: there m = -1, the column is 0 but for column[y] = 1, and the
-    same cells put its one palindrome at k = n.
+    k = n (mod 2), and 0 otherwise, so those cells are one slice of the
+    column, every other cell from k = y + 1.  The all-zero word x = n needs
+    no case of its own: there m = -1, the column is 0 but for
+    column[y] = 1, and the same cells put its one palindrome at k = n.
     """
     if n % 2 and x % 2 == 0:
         return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
@@ -123,21 +127,17 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     def dot(k: int, a: int) -> int:
         return sum(map(mul, signs, tails[a::k + 1]))
 
-    return (int(x == 0), *map(_centre_split(n, y, dot, column.__getitem__), range(1, x + 1)))
+    high = [0] * (x - y)  # k = y + 1 + i, from column[d] where k = n (mod 2)
+    high[(y + 1 - n) % 2::2] = column[(y + 2 - n % 2) // 2:]
+    return (int(x == 0), *(_centre_cell(n, k, dot) for k in range(1, y + 1)), *high)
 
 
-def _centre_split(n: int, y: int, dot, column):
-    """The cells k >= 1 of a palindromic row (n, x) with n - x even, as a
-    function of k, in the terms of _F_hat_row: four dot products dot(k, a),
-    or past k = y the one centre column(d) = C(h - d, y - d).  _F_hat_row
-    reads them from its vectors and _F_hat_cell steps them."""
-    def cell(k: int) -> int:
-        d, odd = divmod(k - n % 2, 2)
-        if k > y:
-            return 0 if odd else column(d)
-        return dot(k, 0) - dot(k, d + 1) - (k > 1 and dot(k - 1, 0) - dot(k - 1, d + odd))
-
-    return cell
+def _centre_cell(n: int, k: int, dot) -> int:
+    """The cell 1 <= k <= y of a palindromic row (n, x) with n - x even, in
+    the terms of _F_hat_row: four dot products dot(k, a), which _F_hat_row
+    reads from its vectors and _F_hat_cell steps."""
+    d, odd = divmod(k - n % 2, 2)
+    return dot(k, 0) - dot(k, d + 1) - (k > 1 and dot(k - 1, 0) - dot(k - 1, d + odd))
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:
@@ -164,7 +164,7 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
 
     The inequality is plain feasibility, x + ceil(x/k) - 1 <= n.  Read off
     the centre split (see the module docstring), the class is non-empty iff
-    it holds and a parity term does (_positive_hat, behind support_hat_set):
+    it holds and a parity term does (support_hat_set reads it per x):
     x = n needs k = n; odd n with even x needs feasible((n-1)/2, x/2, k);
     otherwise x = n (mod 2) is required, and k = n (mod 2) suffices; else,
     with c* the largest c <= min(k-1, x-2k) of the parity of n, it needs
@@ -178,27 +178,24 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     return x + q - 1 <= n if x % k == 0 else x + q <= n
 
 
-def _positive_hat(n: int, x: int, k: int) -> bool:
-    """F_hat(n, x, k) > 0, by the criterion of lemma_positivity_hat's
-    docstring.  With x = n (mod 2) and M = (n - x)/2, a half beside a
-    central block 0^k holds (x - k)/2 zeros in M runs of at most k, which
-    fits iff x <= (2M + 1) k, that is iff (n, x, k) is feasible.  Otherwise
-    the centre c = min(k - 1, x - 2k), of the parity of n, must be >= 0 and
-    leaves the run k to its half, whose (x - c)/2 zeros need
-    ceil((x - c)/(2k)) <= M runs: that fails only at x = (2M + 1) k, where
-    x - c = 2Mk + 1 is odd.  The arguments are not checked."""
-    if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
-        return False
-    if n % 2 and x % 2 == 0:
-        return feasible(n // 2, x // 2, k)
-    return (n - k) % 2 == 0 or x >= 2 * k
-
-
 def support_hat_set(n: int) -> SupportSet:
-    """The pairs 0 <= k <= x <= n whose palindromic class is non-empty."""
+    """The pairs 0 <= k <= x <= n whose palindromic class is non-empty, by
+    the criterion of lemma_positivity_hat's docstring, one range of k per x.
+    Odd n with even x takes the feasible range of its half row
+    (n // 2, x // 2).  Otherwise x = n (mod 2) is required, and k runs from
+    min_k(n, x), keeping k = n (mod 2), where a central block 0^k leaves a
+    half of (x - k)/2 zeros in M = (n - x)/2 runs of at most k, which fits
+    iff (n, x, k) is feasible, and 2k <= x, where the largest shorter centre
+    c = min(k - 1, x - 2k) of the parity of n leaves the run k to its half."""
     require_ints(n)
-    return SupportSet(n, frozenset(
-        (x, k) for x in range(n + 1) for k in range(x + 1) if _positive_hat(n, x, k)))
+    pairs = {(0, 0)} if n >= 0 else set()
+    for x in range(1, n + 1):
+        if n % 2 and x % 2 == 0:
+            pairs.update((x, k) for k in range(min_k(n // 2, x // 2), x // 2 + 1))
+        elif (n - x) % 2 == 0:
+            pairs.update((x, k) for k in range(min_k(n, x), x + 1)
+                         if (n - k) % 2 == 0 or 2 * k <= x)
+    return SupportSet(n, frozenset(pairs))
 
 
 def support_hat_size_formula(n: int) -> int:

@@ -151,15 +151,30 @@ def _dot_side(n: int, x: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _F_row(n: int, x: int) -> tuple[int, ...]:
-    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the differences of
-    consecutive A_k, each one dot product of a pair of _binomials (0 wherever
-    x > (n - x + 1) k, so A_0 reads no vector), kept for the last 64 rows
-    read.  A row on the dot side holds at most about 4 MB, at (8191, 4096).
-    The arguments are not checked; F and build_matrix check them."""
+    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept for the last 64
+    rows read.  A row on the dot side holds at most about 4 MB, at
+    (8191, 4096).  The arguments are not checked; F and build_matrix check
+    them.
+
+    With m = n - x and a pair signs, column = _binomials(n, x), cell 1 is
+    A_1 = C(m + 1, x), the x zeros in distinct gaps among m + 1, and each
+    cell 2 <= k <= x // 2 the difference of consecutive A_k, each one dot
+    product (0 wherever x > (m + 1) k).  Past x // 2 two runs of more than
+    k zeros do not fit, so A_k = column[0] - (m + 1) column[k + 1], and the
+    cell is (m + 1)(column[k] - column[k + 1]) = (m + 1) C(n - k - 1, x - k)
+    (F_closed_high_k), with column[x + 1] = 0.  At x = n (m = 0) that is
+    0 but for the all-zero word at k = n, so it needs no guard.
+    """
+    if x == 0:
+        return (1,)
+    m = n - x
     signs, column = _binomials(n, x)
-    bounded = [sum(map(mul, signs, column[::k + 1])) if x <= (n - x + 1) * k else 0
-               for k in range(x + 1)]
-    return (bounded[0], *map(sub, bounded[1:], bounded))
+    bounded = [math.comb(m + 1, x)]
+    bounded += [sum(map(mul, signs, column[::k + 1])) if x <= (m + 1) * k else 0
+                for k in range(2, x // 2 + 1)]
+    top = max(x // 2, 1)  # the last cell read off the A_k
+    high = map(sub, column[top + 1:], column[top + 2:] + [0])
+    return (0, bounded[0], *map(sub, bounded[1:], bounded), *map((m + 1).__mul__, high))
 
 
 def _bounded(n: int, x: int, k: int, whole: int | None = None, free: bool = False) -> int:
@@ -202,9 +217,11 @@ def F(n: int, x: int, k: int) -> int:
     F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
     zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
     Heads", 1990).  On the dot side (_dot_side) a cell is read from its whole
-    row, _F_row, which the cells of one row share; past it the cell steps.
-    No recursion, so large n is as safe as small n.  The paper's recurrence
-    and closed forms are checked identities, not the production path.
+    row, _F_row, which the cells of one row share.  Past it the cell is one
+    binomial where the paper's closed forms cover it, C(m + 1, x) at k = 1 and
+    (m + 1) C(n - k - 1, x - k) for k > x // 2 (F_closed_high_k), with
+    m = n - x, and otherwise steps.  No recursion, so large n is as safe as
+    small n.  The paper's recurrence is a checked identity, not a path.
     Raises ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
@@ -213,6 +230,11 @@ def F(n: int, x: int, k: int) -> int:
         return 0
     if _dot_side(n, x):
         return _F_row(n, x)[k]
+    m = n - x
+    if k == 1:
+        return math.comb(m + 1, x)
+    if k > x // 2:
+        return (m + 1) * math.comb(n - k - 1, x - k) if m else 1
     whole = math.comb(n, x)
     return _bounded(n, x, k, whole) - _bounded(n, x, k - 1, whole)
 

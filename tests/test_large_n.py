@@ -5,6 +5,7 @@ Each expected value is computed here from first principles and shares no
 code with the inclusion-exclusion or Gaussian-binomial engines.
 """
 
+import functools
 import json
 import math
 import os
@@ -115,6 +116,63 @@ def test_row_sums_and_diagonal_on_random_rows(row):
     assert sum(rc.F(n, x, k) for k in range(x + 1)) == math.comb(n, x)
     if x:
         assert rc.F(n, x, x) == n - x + 1
+
+
+def row_by_inclusion_exclusion(n, x):
+    """F(n, x, k) for k = 0..x, each cell A_k - A_(k-1) with A_k the sum of
+    bounded_direct; the row's cells share its x + 1 values C(n - t, m)."""
+    m = n - x
+    comb = functools.lru_cache(maxsize=None)(math.comb)
+    bounded = [
+        sum((-1) ** j * math.comb(m + 1, j) * comb(n - j * (k + 1), m)
+            for j in range(min(m + 1, x // (k + 1)) + 1))
+        for k in range(x + 1)
+    ]
+    return (bounded[0], *(bounded[k] - bounded[k - 1] for k in range(1, x + 1)))
+
+
+def test_rows_equal_inclusion_exclusion_to_order_100():
+    # _F_row takes cell 1 and every cell past x // 2 from closed forms and
+    # the rest from dot products; the reference sums every cell term by term
+    for n in range(101):
+        for x in range(n + 1):
+            assert rc._F_row.__wrapped__(n, x) == row_by_inclusion_exclusion(n, x), (n, x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows(0, 3000, 0, 3000))
+@example((2992, 1495))
+@example((3000, 3000))
+@example((3001, 1))
+def test_rows_equal_inclusion_exclusion_on_random_rows(row):
+    assert rc._F_row.__wrapped__(*row) == row_by_inclusion_exclusion(*row)
+
+
+def test_cells_past_half_the_zeros_equal_the_closed_form():
+    for n in range(1, 101):
+        for x in range(1, n):
+            row = rc._F_row.__wrapped__(n, x)
+            for k in range(x // 2 + 1, x + 1):
+                assert row[k] == rc.F_closed_high_k(n, x, k), (n, x, k)
+    for n, x in ((10**5, 5 * 10**4), (2 * 10**5, 650), (2 * 10**5 + 1, 651)):
+        assert not rc._dot_side(n, x)
+        for k in (x // 2 + 1, x // 2 + 2, (3 * x) // 4, x - 1, x):
+            assert rc.F(n, x, k) == rc.F_closed_high_k(n, x, k), (n, x, k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(STEPPED)
+@example((20001, 10000))
+@example((10**5, 10**5))
+@example((10**5, 10**5 - 1))
+def test_stepped_cells_from_closed_forms_equal_stepping(row):
+    # past the dot side, F answers k = 1 and k > x // 2 with one binomial;
+    # _bounded steps both A_k and A_(k-1) there and at k = x // 2
+    n, x = row
+    assert not rc._dot_side(n, x)
+    for k in {1, x // 2, x // 2 + 1, x}:
+        stepped = rc._bounded(n, x, k) - rc._bounded(n, x, k - 1) if rc.feasible(n, x, k) else 0
+        assert rc.F(n, x, k) == stepped, (n, x, k)
 
 
 def test_kernel_side_of_each_row(monkeypatch):

@@ -143,6 +143,17 @@ def test_support_hat_set_equals_corrected_positivity_criterion(n):
     assert pal.support_hat_set(n).pairs == criterion
 
 
+@pytest.mark.parametrize("n", range(-1, 121))
+def test_support_hat_set_is_the_nonzero_cells(n):
+    nonzero = {(x, k) for x in range(n + 1) for k in range(x + 1) if pal.F_hat(n, x, k) > 0}
+    assert pal.support_hat_set(n).pairs == nonzero
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_support_hat_set_equals_enumeration(n):
+    assert pal.support_hat_set(n).pairs == oracle.oracle_count(n, True).pairs()
+
+
 def test_support_hat_set_n5_exact():
     assert pal.support_hat_set(5).pairs == frozenset(S_HAT_5)
 
