@@ -5,11 +5,13 @@ mirrored halves, so it counts as its half.  Any other palindrome but the
 all-zero word reads A 1 0^c 1 reverse(A), with c = n (mod 2) and c <= k: a
 central block of length k frees the half A to any run length up to k, and a
 shorter one leaves the longest run k to A.  Every half of one row (n, x) has
-the same ones, so the centres sum in closed form.  F_hat reads its cells from
-the cached rows of _F_hat_row, which sums them from one pair of
-runcount._binomials; past the dot side, _F_hat_cell steps the same sum for one
-cell with runcount._bounded.  support_hat_set reads the support off the same
-split, and so does compositions.P_hat.
+the same ones, so the centres sum in closed form: G_k, the palindromes of one
+row whose zero-runs are all at most k, is two dot products, and the cell of
+longest run k is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  F_hat reads
+its cells from the cached rows of _F_hat_row, which takes every G_k from one
+pair of runcount._binomials; past the dot side, _F_hat_cell steps the two G
+of one cell with runcount._bounded.  support_hat_set reads the support off
+the same split, and so does compositions.P_hat.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 
 from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, binomial,
                        feasible, min_k, not_ints, require_ints)
@@ -50,18 +52,18 @@ def F_hat(n: int, x: int, k: int) -> int:
 
 
 def _F_hat_cell(n: int, x: int, k: int) -> int:
-    """F_hat(n, x, k) alone: the sum of _F_hat_row, with h, y and m as
-    there, and each dot product stepped.  dot(k, a) = sum_i (-1)^i C(m+1, i)
-    C(h + 1 - a - i(k+1), m + 1) counts the words of length h + 1 - a with
-    m + 1 ones whose zero-runs are all at most k but the last, which is free:
-    runcount._bounded(h + 1 - a, y - a, k, free=True).  The whole count
-    that each starts from, C(h + 1 - a, y - a), is C(h + 1, y) C(y, a) /
-    C(h + 1, a), so one math.comb of the row's size serves all four.  At
-    k = 1 the sum dot(1, 0) - dot(1, 1) telescopes to A_1(h, y) =
-    C(m + 1, y), the y zeros in distinct gaps among m + 1, and needs no
-    stepping.  Odd n with even x steps the plain pair A_k - A_(k-1) on the
-    half row (n // 2, x // 2).  The arguments are not checked; an empty
-    class gives 0.
+    """F_hat(n, x, k) alone: G_k - G_(k-1) of _F_hat_row, with h, y and m
+    as there, and the two dot products of each G stepped.  dot(k, a) =
+    sum_i (-1)^i C(m+1, i) C(h + 1 - a - i(k+1), m + 1) counts the words of
+    length h + 1 - a with m + 1 ones whose zero-runs are all at most k but
+    the last, which is free: runcount._bounded(h + 1 - a, y - a, k,
+    free=True).  The whole count that each starts from, C(h + 1 - a, y - a),
+    is C(h + 1, y) C(y, a) / C(h + 1, a), so one math.comb of the row's size
+    serves all four.  At k = 1, G_1 telescopes to A_1(h, y) = C(m + 1, y),
+    the y zeros in distinct gaps among m + 1, and needs no stepping.  Odd n
+    with even x steps the plain pair A_k - A_(k-1) on the half row
+    (n // 2, x // 2).  The arguments are not checked; an empty class gives
+    0.
     """
     if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
         return 0
@@ -81,7 +83,10 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     def dot(k: int, a: int) -> int:
         return _bounded(h + 1 - a, y - a, k, whole * math.comb(y, a) // math.comb(h + 1, a), True)
 
-    return _centre_cell(n, k, dot)
+    def bounded(k: int) -> int:
+        return dot(k, 0) - dot(k, (k - n % 2) // 2 + 1)
+
+    return bounded(k) - bounded(k - 1)
 
 
 @lru_cache(maxsize=64)
@@ -94,27 +99,26 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     Odd n with even x has the halves of the plain row (n // 2, x // 2), and
     odd n - x admits no palindrome.  Otherwise each centre length
     c = n % 2 + 2d <= x has the half row (h - d, y - d), with (h, y) =
-    (n // 2 - 1, (x - n % 2) // 2): it gives the cell k = c the half words
-    with runs at most c, A_c(h - d, y - d), and each k > c those with
-    longest run exactly k, A_k - A_(k-1).  Every half row has the same
-    m = h - y ones, so with one pair signs, column = _binomials(h, y),
-    A_k(h - d, y - d) = sum_i signs[i] column[d + i(k+1)].  Summing over
-    the centres first turns the column into its tails, tails[t] =
-    sum_(u >= t) column[u] = C(h + 1 - t, m + 1).  With dot(k, a) =
-    sum_i signs[i] tails[a + i(k+1)] and d, odd = divmod(k - n % 2, 2), the
-    centres d' <= d add A_k and the centres c < k take away A_(k-1), so
-        F_hat(n, x, k) = dot(k, 0) - dot(k, d + 1)
-                         - [k > 1] (dot(k - 1, 0) - dot(k - 1, d + odd)),
-    where a slice past the end of tails reads as 0: four dot products of
-    about (y + 1) / k terms, as in a plain row.  At k = 1 the only centre
-    below k is c = 0, whose half row has y >= 1 zeros and no word with runs
-    of 0, so A_0 is never read.  Past k = y no half row holds a run of k
-    zeros, so only the centre c = k is left, its half words free, and the
-    cell needs no dot product: it is column[d] = C(h - d, y - d) when
-    k = n (mod 2), and 0 otherwise, so those cells are one slice of the
-    column, every other cell from k = y + 1.  The all-zero word x = n needs
-    no case of its own: there m = -1, the column is 0 but for
-    column[y] = 1, and the same cells put its one palindrome at k = n.
+    (n // 2 - 1, (x - n % 2) // 2), and a palindrome has its zero-runs all at
+    most k >= 1 iff c <= k and its half does: A_k(h - d, y - d) words.  Every
+    half row has the same m = h - y ones, so with one pair signs, column =
+    _binomials(h, y), A_k(h - d, y - d) = sum_i signs[i] column[d + i(k+1)].
+    Summing over the centres first turns the column into its tails,
+    tails[t] = sum_(u >= t) column[u] = C(h + 1 - t, m + 1).  With
+    dot(k, a) = sum_i signs[i] tails[a + i(k+1)], where a slice past the end
+    of tails reads as 0, the centres d <= (k - n % 2) // 2 give the
+    palindromes of the row with runs at most k,
+        G_k = dot(k, 0) - dot(k, (k - n % 2) // 2 + 1),
+    two dot products of about (y + 1) / k terms, and each cell 1 <= k <= y
+    is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  G_0 = 0: with
+    x >= 1 every palindrome has a zero.  Past k = y no half row holds a run
+    of k zeros, so only the centre c = k is left, its half words free, and
+    the cell needs no dot product: it is column[d] = C(h - d, y - d), with
+    d = (k - n % 2) // 2, when k = n (mod 2), and 0 otherwise, so those cells
+    are one slice of the column, every other cell from k = y + 1.  The
+    all-zero word x = n needs no case of its own: there m = -1, the column is
+    0 but for column[y] = 1, and the same cells put its one palindrome at
+    k = n.
     """
     if n % 2 and x % 2 == 0:
         return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
@@ -129,15 +133,8 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
 
     high = [0] * (x - y)  # k = y + 1 + i, from column[d] where k = n (mod 2)
     high[(y + 1 - n) % 2::2] = column[(y + 2 - n % 2) // 2:]
-    return (int(x == 0), *(_centre_cell(n, k, dot) for k in range(1, y + 1)), *high)
-
-
-def _centre_cell(n: int, k: int, dot) -> int:
-    """The cell 1 <= k <= y of a palindromic row (n, x) with n - x even, in
-    the terms of _F_hat_row: four dot products dot(k, a), which _F_hat_row
-    reads from its vectors and _F_hat_cell steps."""
-    d, odd = divmod(k - n % 2, 2)
-    return dot(k, 0) - dot(k, d + 1) - (k > 1 and dot(k - 1, 0) - dot(k - 1, d + odd))
+    bounded = [0, *(dot(k, 0) - dot(k, (k - n % 2) // 2 + 1) for k in range(1, y + 1))]
+    return (int(x == 0), *map(sub, bounded[1:], bounded), *high)
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:

@@ -184,8 +184,9 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
     (odd n) or A 1 0^c 1 reverse(A) with c = n (mod 2) and c <= k, and its
     half A is any word of its length with runs at most k.  This is the centre
     split of the palindromic module without the zero count: there the
-    centres of one x give the words whose longest run is exactly k, here
-    they count runs at most k over all x.  One pass of B_k (_run_terms) to
+    centres of one row x give G_k, its palindromes with runs at most k, by
+    binomial dot products, and this term is the sum of G_k over all x, by
+    the run-avoiding recurrence.  One pass of B_k (_run_terms) to
     length max(ns) // 2 gives every term; the window holds the half lengths
     one term needs.
     """

@@ -166,9 +166,11 @@ def test_row_builds_equal_cellwise_counts(kind):
 def test_rows_equal_cells_to_order_600(row):
     # F and F_hat read these rows.  A plain row is checked against the
     # stepping kernel, which builds no vectors.  A palindromic row and
-    # _F_hat_cell compute the same sums over centres, one by dot products of
-    # vectors and one by stepping each of them with _bounded; the per-centre
-    # reference of test_palindromic checks the sums themselves
+    # _F_hat_cell both take each cell as G_k - G_(k-1), the palindromes with
+    # runs at most k summed over centres, one by dot products of vectors and
+    # one by stepping each of them with _bounded; the per-centre reference,
+    # the prefix DP and the run-avoiding recurrence of test_palindromic check
+    # the sums themselves
     n, x = row
     assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k) - rc._bounded(n, x, k - 1)
                                     for k in range(x + 1))

@@ -1,7 +1,14 @@
+import math
+from collections import Counter
+from functools import lru_cache
+from itertools import accumulate
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeroruns import oracle, palindromic as pal, runcount as rc
-from zeroruns.sequences import fib_f
+from zeroruns.sequences import _palindromic_bounded_run_terms, fib_f
 
 # the seven classes of length-5 palindromes listed in the source material
 S_HAT_5 = {(0, 0), (1, 1), (3, 3), (5, 5), (2, 1), (3, 1), (4, 2)}
@@ -204,3 +211,63 @@ def test_even_length_forces_even_zero_count(n):
     for x in range(1, n + 1, 2):
         for k in range(x + 1):
             assert pal.F_hat(n, x, k) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 600))
+@example(0)
+@example(1)
+@example(2)
+@example(599)
+@example(600)
+def test_row_prefix_sums_equal_run_avoiding_palindromes(n):
+    # G_k, the palindromes of length n with zero-runs all at most k, from the
+    # rows' cells k' <= k against the run-avoiding recurrence of sequences,
+    # which shares no code with the rows' dot products
+    bounded = [0] * (n + 1)
+    for x in range(n + 1):
+        row = pal._F_hat_row(n, x)
+        want = 0 if n % 2 == 0 and x % 2 else math.comb(n // 2, x // 2)
+        assert sum(row) == want, (n, x)
+        bounded = [a + b for a, b in zip(bounded, accumulate(row + (0,) * (n - x)))]
+    assert bounded == [_palindromic_bounded_run_terms(k, range(n, n + 1))[0]
+                       for k in range(n + 1)]
+
+
+@lru_cache(maxsize=2)
+def prefix_states(h):
+    """Counter of (zeros z, trailing zero-run t, longest finished run b)
+    over the words of length h >= 0, one letter at a time from h - 1; the
+    cache keeps the last two lengths, so ascending lengths cost one sweep."""
+    if h == 0:
+        return Counter({(0, 0, 0): 1})
+    states = Counter()
+    for (z, t, b), count in prefix_states(h - 1).items():
+        states[z + 1, t + 1, b] += count
+        states[z, 0, max(b, t)] += count
+    return states
+
+
+def prefix_dp_F_hat(n):
+    """Counter of (x, k) over the palindromes of length n >= 0, with x zeros
+    and longest zero-run k, from the words of their first ceil(n/2) letters
+    (prefix_states); nothing here comes from zeroruns.  The last of those
+    letters is the centre of an odd palindrome: it is counted once,
+    x = 2z - [t > 0], and its run is 2t - 1.  An even palindrome has x = 2z
+    and its middle run is 2t."""
+    table = Counter()
+    for (z, t, b), count in prefix_states((n + 1) // 2).items():
+        if n % 2:
+            table[2 * z - (t > 0), max(b, 2 * t - 1)] += count
+        else:
+            table[2 * z, max(b, 2 * t)] += count
+    return table
+
+
+@pytest.mark.parametrize("n", range(0, 121))
+def test_F_hat_equals_prefix_dp(n):
+    table = prefix_dp_F_hat(n)
+    assert sum(table.values()) == 2 ** ((n + 1) // 2)
+    for x in range(n + 1):
+        for k in range(n + 1):
+            assert pal.F_hat(n, x, k) == table[x, k], (n, x, k)
