@@ -15,10 +15,8 @@ of its own.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .palindromic import F_hat, _F_hat_cell
-from .runcount import F, feasible, not_ints, require_ints
+from .runcount import F, _row_cache, feasible, not_ints, require_ints
 from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
 
 __all__ = [
@@ -149,14 +147,14 @@ def _gaussian(m: int, tops):
         yield coeffs
 
 
-@lru_cache(maxsize=64)
+@_row_cache
 def _P_row(n: int, x: int) -> tuple[int, ...]:
-    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept for the last 64
-    rows read.  With m = n - x, cell k is the coefficient of q^(x-k) in
-    G_k = [m+k choose k]_q (cell 0 is [x == 0], from G_0 = 1), and no later
-    cell reads above x - k: one pass of _gaussian with the caps x - k, at
-    most about x^2 additions a row.  The arguments are not checked; P
-    checks them."""
+    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in a row cache
+    (runcount._row_cache).  With m = n - x, cell k is the coefficient of
+    q^(x-k) in G_k = [m+k choose k]_q (cell 0 is [x == 0], from G_0 = 1), and
+    no later cell reads above x - k: one pass of _gaussian with the caps
+    x - k, at most about x^2 additions a row.  The arguments are not
+    checked; P checks them."""
     passes = _gaussian(n - x, range(x, -1, -1))
     return tuple([coeffs[x - k] for k, coeffs in enumerate(passes)])
 

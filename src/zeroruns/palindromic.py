@@ -17,12 +17,11 @@ the same split, and so does compositions.P_hat.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul, sub
 
-from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, binomial,
-                       feasible, min_k, not_ints, require_ints)
+from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, _row_cache,
+                       binomial, feasible, min_k, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -89,12 +88,13 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     return bounded(k) - bounded(k - 1)
 
 
-@lru_cache(maxsize=64)
+@_row_cache
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the centre split
-    of the module docstring over the whole row at once, kept for the last 64
-    rows read.  A row whose half row is on the dot side holds at most about
-    8 MB.  The arguments are not checked; F_hat and build_matrix check them.
+    of the module docstring over the whole row at once, kept in a row cache
+    (runcount._row_cache).  A row whose half row is on the dot side holds at
+    most about 8 MB.  The arguments are not checked; F_hat and build_matrix
+    check them.
 
     Odd n with even x has the halves of the plain row (n // 2, x // 2), and
     odd n - x admits no palindrome.  Otherwise each centre length

@@ -8,7 +8,7 @@ result is an exact Python integer; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -149,10 +149,63 @@ def _dot_side(n: int, x: int) -> bool:
     return x == 0 or x * (n // x).bit_length() <= 4096
 
 
-@lru_cache(maxsize=64)
+# The bytes of rows, by _row_cache's estimate, that one row cache holds
+# before it is cleared: the rows of a plain matrix up to order 870 or of a
+# palindromic one up to order 1170 fit, so a repeated build reads them back.
+_ROW_CACHE_BYTES = 32 << 20
+
+
+def _row_cache(build):
+    """Cache the rows build(*args), tuples of ints, holding at most about
+    _ROW_CACHE_BYTES of them plus one row.
+
+    Hits go through a C lru_cache(maxsize=None), with no Python frame.  Only
+    a miss adds its row's estimated bytes, 36 per entry (a tuple slot and a
+    small int) plus one per 8 bits, to a running total, and a miss that
+    would take the total past the budget clears the whole cache first.  An
+    LRU in Python would bound the cache as well, but it doubles the cost of
+    a warm cell.  cache_clear() also resets the total, cache_bytes() reads
+    it, and cache_info() counts hits and misses since the last
+    cache_clear() call, across clears by the budget; __wrapped__ is build.
+    The total is not locked: a lost update could only misstate it.
+    """
+    held = 0
+    cleared = (0, 0)  # hits and misses counted before clears by the budget
+
+    def miss(*args):
+        nonlocal held, cleared
+        row = build(*args)
+        size = 36 * len(row) + sum(map(int.bit_length, row)) // 8
+        if held + size > _ROW_CACHE_BYTES:
+            now = lru_info()  # this miss included
+            cleared = (cleared[0] + now.hits, cleared[1] + now.misses)
+            lru_clear()
+            held = 0
+        held += size
+        return row
+
+    cached = lru_cache(maxsize=None)(miss)
+    lru_info, lru_clear = cached.cache_info, cached.cache_clear
+
+    def cache_info():
+        now = lru_info()
+        return now._replace(hits=cleared[0] + now.hits, misses=cleared[1] + now.misses)
+
+    def cache_clear():
+        nonlocal held, cleared
+        lru_clear()
+        held, cleared = 0, (0, 0)
+
+    update_wrapper(cached, build)
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    cached.cache_bytes = lambda: held
+    return cached
+
+
+@_row_cache
 def _F_row(n: int, x: int) -> tuple[int, ...]:
-    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept for the last 64
-    rows read.  A row on the dot side holds at most about 4 MB, at
+    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in a row cache
+    (_row_cache).  A row on the dot side holds at most about 4 MB, at
     (8191, 4096).  The arguments are not checked; F and build_matrix check
     them.
 

@@ -9,6 +9,7 @@ from zeroruns import compositions as comp, oracle, palindromic as pal, runcount 
 from zeroruns import sequences as seq
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
+from test_large_n import assert_sweep_is_bounded
 from test_palindromic import F_hat_per_cell
 
 
@@ -246,11 +247,18 @@ def test_box_sum_is_one_pass_over_its_degrees(ts, a, b):
     assert comp._box_sum(ts, a, b) == sum(box_partitions(t, a, b) for t in ts)
 
 
-def test_P_row_cache_is_bounded():
+def test_P_row_cache_is_bounded(monkeypatch):
+    rows = [(n, x) for n in range(1, 100) for x in (1, n // 2)]
+    assert_sweep_is_bounded(monkeypatch, comp._P_row, list(dict.fromkeys(rows)))
+
+
+def test_second_sweep_of_an_order_builds_no_P_row():
+    # the 101 rows of order 100 stay cached: a second sweep of every class
+    # reads them back
     comp._P_row.cache_clear()
-    for n in range(1, 100):
-        comp.P(n, 1, 1)
-    assert comp._P_row.cache_info().currsize == 64
+    for _ in range(2):
+        [comp.P(100, x, k) for x in range(101) for k in range(x + 1)]
+        assert comp._P_row.cache_info().misses == comp._P_row.cache_info().currsize == 101
 
 
 # the P rows of the benchmark's queries workload: moderate n with x at a

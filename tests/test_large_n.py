@@ -194,27 +194,52 @@ def test_kernel_side_of_each_row(monkeypatch):
     assert built_hat == [(601, 301)]
 
 
-def test_vector_cache_is_bounded():
-    # the two 64-row caches of whole rows, _F_row and _F_hat_row, hold what
-    # the deleted cache of binomial vectors held, and must stay as bounded
-    clear_kernel()
-    mat.build_matrix(300)
-    mat.build_matrix(300, "palindromic")
-    # the rows of the queries workload: moderate n at a share of n, large n
-    # with x <= 12, and x ~ n / 2 near n = 3000, every k of each row
+def assert_sweep_is_bounded(monkeypatch, cache, rows, budget=4096):
+    """Read each of rows, distinct and none cached, with the row budget cut
+    to `budget` bytes: the cache's running total is the estimate of the rows
+    it holds, it never exceeds the budget plus the largest row read, and
+    the budget cleared the cache at least once."""
+    monkeypatch.setattr(rc, "_ROW_CACHE_BYTES", budget)
+    cache.cache_clear()
+    held, largest, clears = [], 0, 0
+    for n, x in rows:
+        row = cache(n, x)
+        size = 36 * len(row) + sum(map(int.bit_length, row)) // 8
+        largest = max(largest, size)
+        if held and cache.cache_info().currsize == 1:  # cleared for this row
+            held, clears = [], clears + 1
+        held.append(size)
+        assert cache.cache_bytes() == sum(held) <= budget + largest, (n, x)
+        assert cache.cache_info().currsize == len(held)
+    assert clears and cache.cache_info().misses == len(rows)
+
+
+def test_vector_cache_is_bounded(monkeypatch):
+    # the two row caches of whole rows, _F_row and _F_hat_row, hold what the
+    # deleted cache of binomial vectors held, and must stay as bounded: every
+    # row of the orders up to 60, then the rows of the queries workload
+    # (moderate n at a share of n, large n with x <= 12, and x ~ n / 2 near
+    # n = 3000, a row larger than the budget alone)
     moderate = zip((22, 33, 44, 55, 66, 77, 88, 99, 108),
                    (0.5, 0.2, 0.8, 0.35, 0.65, 0.5, 0.25, 0.75, 0.45))
-    rows = [(n, round(share * n)) for n, share in moderate]
+    rows = [(n, x) for n in range(61) for x in range(n + 1)]
+    rows += [(n, round(share * n)) for n, share in moderate]
     rows += [(round(10 ** (3 + j / 4)) + j % 2, x) for j, x in enumerate(range(1, 13))]
     rows += [(3000, 1500)]
-    for n, x in rows:
-        for k in range(x + 1):
-            rc.F(n, x, k)
-            pal.F_hat(n, x, k)
-    # each build alone reads 301 rows, so both caches have evicted
     for cache in (rc._F_row, pal._F_hat_row):
-        info = cache.cache_info()
-        assert info.currsize == info.maxsize == 64, info
+        assert_sweep_is_bounded(monkeypatch, cache, list(dict.fromkeys(rows)))
+
+
+def test_uncached_builder_leaves_the_row_cache_alone():
+    clear_kernel()
+    rc.F(300, 150, 3)
+    state = rc._F_row.cache_info(), rc._F_row.cache_bytes()
+    assert state[0].misses == state[0].currsize == 1 and state[1] > 0
+    for n, x in ((300, 150), (301, 150)):
+        rc._F_row.__wrapped__(n, x)
+        assert (rc._F_row.cache_info(), rc._F_row.cache_bytes()) == state
+    rc._F_row.cache_clear()
+    assert rc._F_row.cache_info() == (0, 0, None, 0) and rc._F_row.cache_bytes() == 0
 
 
 def test_half_length_row_cold_in_both_orders():

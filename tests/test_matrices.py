@@ -214,6 +214,20 @@ def test_second_pass_over_rows_adds_no_cache_misses():
     assert sweep() == first
 
 
+def test_second_matrix_build_adds_no_cache_misses():
+    # the 91 rows of each kind fit the row caches' byte budget, so a second
+    # build of either kind reads every row back
+    def misses():
+        return rc._F_row.cache_info().misses, pal._F_hat_row.cache_info().misses
+
+    rc._F_row.cache_clear()
+    pal._F_hat_row.cache_clear()
+    for kind in ("plain", "palindromic"):
+        first, before = mat.build_matrix(90, kind), misses()
+        assert mat.build_matrix(90, kind) == first
+        assert misses() == before
+
+
 def test_matrix_builds_leave_the_kernel_caches_empty():
     # the stepping cell kernel keeps no cache, and the builds write only the
     # two bounded row caches (test_large_n.test_vector_cache_is_bounded),
