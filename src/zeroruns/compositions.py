@@ -7,8 +7,8 @@ when their zero-run multisets coincide.  P(n, x, k) below counts those
 multiset classes inside one (n, x, k) word class: a coefficient of a
 Gaussian binomial.  One generator, _gaussian, steps [m+k choose k]_q over k
 and is the only such loop.  For x <= _ROW_SIDE a cell is read from its whole
-row, _P_row, one pass that the cells of one row share and the only partition
-cache; past it, and for P_hat, _bounded_partitions and _box_sum read the
+row in _P_rows, one pass that the cells of one row share and the only partition
+store; past it, and for P_hat, _bounded_partitions and _box_sum read the
 coefficients they need from one uncached pass each.  P_total reads one pass
 of its own.
 """
@@ -16,7 +16,7 @@ of its own.
 from __future__ import annotations
 
 from .palindromic import F_hat, _F_hat_cell
-from .runcount import F, _row_cache, feasible, not_ints, require_ints
+from .runcount import F, _Rows, feasible, not_ints, require_ints
 from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
 
 __all__ = [
@@ -108,7 +108,7 @@ def P(n: int, x: int, k: int) -> int:
     n - x + 1 parts.  Stripping one part k leaves a partition of x - k into
     at most n - x parts, each at most k: the coefficient of q^(x-k) in the
     Gaussian binomial [n-x+k choose k]_q (Andrews, The Theory of Partitions,
-    ch. 3).  For x <= _ROW_SIDE the cell is read from its whole row, _P_row;
+    ch. 3).  For x <= _ROW_SIDE the cell is read from its whole row in _P_rows;
     past it _bounded_partitions computes the one coefficient.  Raises
     ValueError on non-int arguments.
     """
@@ -117,7 +117,7 @@ def P(n: int, x: int, k: int) -> int:
     if not feasible(n, x, k):
         return 0
     if x <= _ROW_SIDE:
-        return _P_row(n, x)[k]
+        return _P_rows[n, x][k]
     return _bounded_partitions(x - k, n - x, k)
 
 
@@ -147,16 +147,18 @@ def _gaussian(m: int, tops):
         yield coeffs
 
 
-@_row_cache
 def _P_row(n: int, x: int) -> tuple[int, ...]:
-    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in a row cache
-    (runcount._row_cache).  With m = n - x, cell k is the coefficient of
+    """P(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in the row store
+    _P_rows.  With m = n - x, cell k is the coefficient of
     q^(x-k) in G_k = [m+k choose k]_q (cell 0 is [x == 0], from G_0 = 1), and
     no later cell reads above x - k: one pass of _gaussian with the caps
     x - k, at most about x^2 additions a row.  The arguments are not
     checked; P checks them."""
     passes = _gaussian(n - x, range(x, -1, -1))
     return tuple([coeffs[x - k] for k, coeffs in enumerate(passes)])
+
+
+_P_rows = _Rows(_P_row)
 
 
 def _bounded_partitions(t: int, a: int, b: int) -> int:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .palindromic import _F_hat_row
-from .runcount import _F_row, require_ints
+from .palindromic import _F_hat_rows
+from .runcount import _F_rows, require_ints
 
 __all__ = [
     "CountMatrix",
@@ -36,15 +36,15 @@ class CountMatrix(NamedTuple):
 
 def build_matrix(n: int, kind: str = "plain") -> CountMatrix:
     """Matrix of F (or F_hat) values over 0 <= x, k <= n, a row at a time:
-    each row (n, x) is runcount._F_row or palindromic._F_hat_row, padded
-    with zeros past k = x."""
+    each row (n, x) is read from the row store runcount._F_rows or
+    palindromic._F_hat_rows, padded with zeros past k = x."""
     require_ints(n)
     if n < 0:
         raise ValueError("matrix order parameter must be >= 0")
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    row = _F_row if kind == "plain" else _F_hat_row
-    return CountMatrix(n, kind, tuple(row(n, x) + (0,) * (n - x) for x in range(n + 1)))
+    rows = _F_rows if kind == "plain" else _F_hat_rows
+    return CountMatrix(n, kind, tuple(rows[n, x] + (0,) * (n - x) for x in range(n + 1)))
 
 
 def row_sums(matrix: CountMatrix) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ shorter one leaves the longest run k to A.  Every half of one row (n, x) has
 the same ones, so the centres sum in closed form: G_k, the palindromes of one
 row whose zero-runs are all at most k, is two dot products, and the cell of
 longest run k is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  F_hat reads
-its cells from the cached rows of _F_hat_row, which takes every G_k from one
+its cells from the row store _F_hat_rows, whose rows take every G_k from one
 pair of runcount._binomials; past the dot side, _F_hat_cell steps the two G
 of one cell with runcount._bounded.  support_hat_set reads the support off
 the same split, and so does compositions.P_hat.
@@ -20,7 +20,7 @@ import math
 from itertools import accumulate
 from operator import mul, sub
 
-from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_row, _row_cache,
+from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_rows, _Rows,
                        binomial, feasible, min_k, not_ints, require_ints)
 
 __all__ = [
@@ -37,7 +37,7 @@ def F_hat(n: int, x: int, k: int) -> int:
     """Palindromic class count, total on all integer triples.
 
     Where the half row (n // 2, x // 2) is on the dot side, the cell is read
-    from its whole row, _F_hat_row, which the cells of one row share; past
+    from its whole row in _F_hat_rows, which the cells of one row share; past
     it, _F_hat_cell steps the cell alone.  Raises ValueError on non-int
     arguments.
     """
@@ -46,7 +46,7 @@ def F_hat(n: int, x: int, k: int) -> int:
     if not feasible(n, x, k):
         return 0
     if _dot_side(n // 2, x // 2):
-        return _F_hat_row(n, x)[k]
+        return _F_hat_rows[n, x][k]
     return _F_hat_cell(n, x, k)
 
 
@@ -88,11 +88,10 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     return bounded(k) - bounded(k - 1)
 
 
-@_row_cache
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     """F_hat(n, x, k) for 0 <= k <= x, with 0 <= x <= n: the centre split
-    of the module docstring over the whole row at once, kept in a row cache
-    (runcount._row_cache).  A row whose half row is on the dot side holds at
+    of the module docstring over the whole row at once, kept in the row
+    store _F_hat_rows.  A row whose half row is on the dot side holds at
     most about 8 MB.  The arguments are not checked; F_hat and build_matrix
     check them.
 
@@ -121,7 +120,7 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     k = n.
     """
     if n % 2 and x % 2 == 0:
-        return _F_row(n // 2, x // 2) + (0,) * (x - x // 2)
+        return _F_rows[n // 2, x // 2] + (0,) * (x - x // 2)
     if (n - x) % 2:
         return (0,) * (x + 1)
     h, y = n // 2 - 1, (x - n % 2) // 2
@@ -135,6 +134,9 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     high[(y + 1 - n) % 2::2] = column[(y + 2 - n % 2) // 2:]
     bounded = [0, *(dot(k, 0) - dot(k, (k - n % 2) // 2 + 1) for k in range(1, y + 1))]
     return (int(x == 0), *map(sub, bounded[1:], bounded), *high)
+
+
+_F_hat_rows = _Rows(_F_hat_row)
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:

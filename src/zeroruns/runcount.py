@@ -8,7 +8,6 @@ result is an exact Python integer; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, update_wrapper
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -149,63 +148,47 @@ def _dot_side(n: int, x: int) -> bool:
     return x == 0 or x * (n // x).bit_length() <= 4096
 
 
-# The bytes of rows, by _row_cache's estimate, that one row cache holds
-# before it is cleared: the rows of a plain matrix up to order 870 or of a
-# palindromic one up to order 1170 fit, so a repeated build reads them back.
+# The bytes of rows, by _Rows's estimate, that one row store holds before it
+# is cleared: the rows of a plain matrix up to order 870 or of a palindromic
+# one up to order 1400 fit, so a repeated build reads them back.
 _ROW_CACHE_BYTES = 32 << 20
 
 
-def _row_cache(build):
-    """Cache the rows build(*args), tuples of ints, holding at most about
-    _ROW_CACHE_BYTES of them plus one row.
+class _Rows(dict):
+    """The rows build(n, x), tuples of ints, by key (n, x): rows[n, x] builds
+    a missing row and keeps it, holding at most about _ROW_CACHE_BYTES of
+    rows plus one.
 
-    Hits go through a C lru_cache(maxsize=None), with no Python frame.  Only
-    a miss adds its row's estimated bytes, 36 per entry (a tuple slot and a
-    small int) plus one per 8 bits, to a running total, and a miss that
-    would take the total past the budget clears the whole cache first.  An
-    LRU in Python would bound the cache as well, but it doubles the cost of
-    a warm cell.  cache_clear() also resets the total, cache_bytes() reads
-    it, and cache_info() counts hits and misses since the last
-    cache_clear() call, across clears by the budget; __wrapped__ is build.
-    The total is not locked: a lost update could only misstate it.
+    A hit is a plain dict subscript, with no Python frame.  Only a miss adds
+    its row's estimated bytes to held: an 8-byte tuple slot per entry, 28
+    more per nonzero entry (its int) and one per 8 bits.  A miss that would
+    take held past the budget clears the whole store first.  An LRU in
+    Python would bound the store as well, but it doubles the cost of a warm
+    cell.  clear() also resets held.  held is not locked: a lost update
+    could only misstate it.
     """
-    held = 0
-    cleared = (0, 0)  # hits and misses counted before clears by the budget
 
-    def miss(*args):
-        nonlocal held, cleared
-        row = build(*args)
-        size = 36 * len(row) + sum(map(int.bit_length, row)) // 8
-        if held + size > _ROW_CACHE_BYTES:
-            now = lru_info()  # this miss included
-            cleared = (cleared[0] + now.hits, cleared[1] + now.misses)
-            lru_clear()
-            held = 0
-        held += size
+    def __init__(self, build):
+        self.build = build
+        self.held = 0
+
+    def __missing__(self, key):
+        row = self.build(*key)
+        size = 8 * len(row) + 28 * (len(row) - row.count(0)) + sum(map(int.bit_length, row)) // 8
+        if self.held + size > _ROW_CACHE_BYTES:
+            self.clear()
+        self.held += size
+        self[key] = row
         return row
 
-    cached = lru_cache(maxsize=None)(miss)
-    lru_info, lru_clear = cached.cache_info, cached.cache_clear
-
-    def cache_info():
-        now = lru_info()
-        return now._replace(hits=cleared[0] + now.hits, misses=cleared[1] + now.misses)
-
-    def cache_clear():
-        nonlocal held, cleared
-        lru_clear()
-        held, cleared = 0, (0, 0)
-
-    update_wrapper(cached, build)
-    cached.cache_info, cached.cache_clear = cache_info, cache_clear
-    cached.cache_bytes = lambda: held
-    return cached
+    def clear(self):
+        super().clear()
+        self.held = 0
 
 
-@_row_cache
 def _F_row(n: int, x: int) -> tuple[int, ...]:
-    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in a row cache
-    (_row_cache).  A row on the dot side holds at most about 4 MB, at
+    """F(n, x, k) for 0 <= k <= x, with 0 <= x <= n, kept in the row store
+    _F_rows.  A row on the dot side holds at most about 4 MB, at
     (8191, 4096).  The arguments are not checked; F and build_matrix check
     them.
 
@@ -228,6 +211,9 @@ def _F_row(n: int, x: int) -> tuple[int, ...]:
     top = max(x // 2, 1)  # the last cell read off the A_k
     high = map(sub, column[top + 1:], column[top + 2:] + [0])
     return (0, bounded[0], *map(sub, bounded[1:], bounded), *map((m + 1).__mul__, high))
+
+
+_F_rows = _Rows(_F_row)
 
 
 def _bounded(n: int, x: int, k: int, whole: int | None = None, free: bool = False) -> int:
@@ -270,7 +256,7 @@ def F(n: int, x: int, k: int) -> int:
     F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
     zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
     Heads", 1990).  On the dot side (_dot_side) a cell is read from its whole
-    row, _F_row, which the cells of one row share.  Past it the cell is one
+    row in _F_rows, which the cells of one row share.  Past it the cell is one
     binomial where the paper's closed forms cover it, C(m + 1, x) at k = 1 and
     (m + 1) C(n - k - 1, x - k) for k > x // 2 (F_closed_high_k), with
     m = n - x, and otherwise steps.  No recursion, so large n is as safe as
@@ -282,7 +268,7 @@ def F(n: int, x: int, k: int) -> int:
     if not feasible(n, x, k):
         return 0
     if _dot_side(n, x):
-        return _F_row(n, x)[k]
+        return _F_rows[n, x][k]
     m = n - x
     if k == 1:
         return math.comb(m + 1, x)

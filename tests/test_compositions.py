@@ -9,7 +9,7 @@ from zeroruns import compositions as comp, oracle, palindromic as pal, runcount 
 from zeroruns import sequences as seq
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
-from test_large_n import assert_sweep_is_bounded
+from test_large_n import assert_sweep_is_bounded, count_builds
 from test_palindromic import F_hat_per_cell
 
 
@@ -124,7 +124,7 @@ def test_P_does_not_depend_on_warm_state_or_call_order():
     table = oracle.oracle_partition_table(12)
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     want = [table.get((x, k), 0) for _, x, k in triples]
-    comp._P_row.cache_clear()
+    comp._P_rows.clear()
     assert [comp.P(*t) for t in reversed(triples)] == want[::-1]
     assert [comp.P(*t) for t in triples] == want
 
@@ -135,13 +135,13 @@ def test_palindromic_layer_does_not_depend_on_warm_state_or_call_order():
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     for count, want in ((pal.F_hat, [counts.count(x, k) for _, x, k in triples]),
                         (comp.P_hat, [table.get((x, k), 0) for _, x, k in triples])):
-        rc._F_row.cache_clear()
-        pal._F_hat_row.cache_clear()
-        comp._P_row.cache_clear()
+        rc._F_rows.clear()
+        pal._F_hat_rows.clear()
+        comp._P_rows.clear()
         assert [count(*t) for t in triples] == want
-        rc._F_row.cache_clear()
-        pal._F_hat_row.cache_clear()
-        comp._P_row.cache_clear()
+        rc._F_rows.clear()
+        pal._F_hat_rows.clear()
+        comp._P_rows.clear()
         assert [count(*t) for t in reversed(triples)] == want[::-1]
         assert [count(*t) for t in triples] == want
 
@@ -214,13 +214,13 @@ def test_P_row_prefix_sums_are_bounded_partitions():
 
 
 def test_kernel_cells_read_no_P_row():
-    comp._P_row.cache_clear()
+    comp._P_rows.clear()
     comp.P(4600, 3000, 3)
     comp.P_hat(9201, 6000, 3)
     for x in range(31):
         for k in range(x + 1):
             comp.P_hat(30, x, k)
-    assert comp._P_row.cache_info().currsize == 0
+    assert len(comp._P_rows) == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 61, 512, 513, 1000])
@@ -249,16 +249,17 @@ def test_box_sum_is_one_pass_over_its_degrees(ts, a, b):
 
 def test_P_row_cache_is_bounded(monkeypatch):
     rows = [(n, x) for n in range(1, 100) for x in (1, n // 2)]
-    assert_sweep_is_bounded(monkeypatch, comp._P_row, list(dict.fromkeys(rows)))
+    assert_sweep_is_bounded(monkeypatch, comp._P_rows, list(dict.fromkeys(rows)))
 
 
-def test_second_sweep_of_an_order_builds_no_P_row():
+def test_second_sweep_of_an_order_builds_no_P_row(monkeypatch):
     # the 101 rows of order 100 stay cached: a second sweep of every class
     # reads them back
-    comp._P_row.cache_clear()
+    comp._P_rows.clear()
+    built = count_builds(monkeypatch, comp._P_rows)
     for _ in range(2):
         [comp.P(100, x, k) for x in range(101) for k in range(x + 1)]
-        assert comp._P_row.cache_info().misses == comp._P_row.cache_info().currsize == 101
+        assert len(built) == len(comp._P_rows) == 101
 
 
 # the P rows of the benchmark's queries workload: moderate n with x at a
@@ -270,14 +271,14 @@ QUERY_ROWS = [*((n, round(share * n)) for n, share in zip(
                 for j, x in enumerate((1, 7, 6, 11, 4, 9, 2, 12, 5, 10, 3, 8)))]
 
 
-def test_second_pass_over_query_rows_builds_no_row():
-    comp._P_row.cache_clear()
+def test_second_pass_over_query_rows_builds_no_row(monkeypatch):
+    comp._P_rows.clear()
+    built = count_builds(monkeypatch, comp._P_rows)
     for _ in range(2):
         for n, x in QUERY_ROWS:
             for k in range(x + 1):
                 comp.P(n, x, k)
-        info = comp._P_row.cache_info()
-        assert info.misses == info.currsize == len(QUERY_ROWS)
+        assert len(built) == len(comp._P_rows) == len(QUERY_ROWS)
 
 
 @pytest.mark.parametrize("h", [*range(31), 1000, 10**5])
@@ -427,13 +428,13 @@ def test_totals_at_large_n():
 
 def test_P_hat_total_leaves_the_gaussian_kernel_cold():
     # the pentagonal list p(0..ceil(n/2)) answers it; the kernel keeps no
-    # cache, and _P_row is the only partition cache
+    # cache, and _P_rows is the only partition store
     assert not hasattr(comp._bounded_partitions, "cache_info")
-    assert [name for name, f in vars(comp).items()
-            if hasattr(f, "cache_info") and f.__module__ == comp.__name__] == ["_P_row"]
-    comp._P_row.cache_clear()
+    assert not [name for name, f in vars(comp).items() if hasattr(f, "cache_info")]
+    assert [name for name, v in vars(comp).items() if isinstance(v, rc._Rows)] == ["_P_rows"]
+    comp._P_rows.clear()
     comp.P_hat_total(300)
-    assert comp._P_row.cache_info().currsize == 0
+    assert len(comp._P_rows) == 0
 
 
 @pytest.mark.parametrize("n", range(0, 15))

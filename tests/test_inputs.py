@@ -73,9 +73,9 @@ def bad_calls():
 
 
 def clear_caches():
-    rc._F_row.cache_clear()
-    pal._F_hat_row.cache_clear()
-    comp._P_row.cache_clear()
+    rc._F_rows.clear()
+    pal._F_hat_rows.clear()
+    comp._P_rows.clear()
 
 
 @pytest.mark.parametrize("func, good, bad", bad_calls())

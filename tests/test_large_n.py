@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,8 +71,16 @@ def row_by_binomial_column(n, x):
 
 
 def clear_kernel():
-    rc._F_row.cache_clear()
-    pal._F_hat_row.cache_clear()
+    rc._F_rows.clear()
+    pal._F_hat_rows.clear()
+
+
+def count_builds(monkeypatch, store):
+    """The keys whose rows store builds from now on, one per miss: a spy on
+    store.build, which the store calls on each miss and nothing else does."""
+    built, build = [], store.build
+    monkeypatch.setattr(store, "build", lambda n, x: built.append((n, x)) or build(n, x))
+    return built
 
 
 def test_bounded_against_direct_sum():
@@ -136,7 +145,7 @@ def test_rows_equal_inclusion_exclusion_to_order_100():
     # the rest from dot products; the reference sums every cell term by term
     for n in range(101):
         for x in range(n + 1):
-            assert rc._F_row.__wrapped__(n, x) == row_by_inclusion_exclusion(n, x), (n, x)
+            assert rc._F_row(n, x) == row_by_inclusion_exclusion(n, x), (n, x)
 
 
 @settings(max_examples=15, deadline=None)
@@ -145,13 +154,13 @@ def test_rows_equal_inclusion_exclusion_to_order_100():
 @example((3000, 3000))
 @example((3001, 1))
 def test_rows_equal_inclusion_exclusion_on_random_rows(row):
-    assert rc._F_row.__wrapped__(*row) == row_by_inclusion_exclusion(*row)
+    assert rc._F_row(*row) == row_by_inclusion_exclusion(*row)
 
 
 def test_cells_past_half_the_zeros_equal_the_closed_form():
     for n in range(1, 101):
         for x in range(1, n):
-            row = rc._F_row.__wrapped__(n, x)
+            row = rc._F_row(n, x)
             for k in range(x // 2 + 1, x + 1):
                 assert row[k] == rc.F_closed_high_k(n, x, k), (n, x, k)
     for n, x in ((10**5, 5 * 10**4), (2 * 10**5, 650), (2 * 10**5 + 1, 651)):
@@ -177,11 +186,8 @@ def test_stepped_cells_from_closed_forms_equal_stepping(row):
 
 def test_kernel_side_of_each_row(monkeypatch):
     clear_kernel()
-    built, built_hat = [], []
-    row, row_hat = rc._F_row, pal._F_hat_row
-    monkeypatch.setattr(rc, "_F_row", lambda n, x: built.append((n, x)) or row(n, x))
-    monkeypatch.setattr(pal, "_F_hat_row",
-                        lambda n, x: built_hat.append((n, x)) or row_hat(n, x))
+    built = count_builds(monkeypatch, rc._F_rows)
+    built_hat = count_builds(monkeypatch, pal._F_hat_rows)
     for n, x in ((3014, 1507), (2992, 1495), (10**5, 5 * 10**4)):
         # k = x // 2 keeps the direct sum to two terms
         k = x // 2
@@ -194,28 +200,35 @@ def test_kernel_side_of_each_row(monkeypatch):
     assert built_hat == [(601, 301)]
 
 
-def assert_sweep_is_bounded(monkeypatch, cache, rows, budget=4096):
-    """Read each of rows, distinct and none cached, with the row budget cut
-    to `budget` bytes: the cache's running total is the estimate of the rows
+def estimate(row):
+    """The bytes a row store counts for row: an 8-byte slot per entry, 28
+    more for each nonzero int and one per 8 bits."""
+    return 8 * len(row) + 28 * sum(1 for v in row if v) + sum(v.bit_length() for v in row) // 8
+
+
+def assert_sweep_is_bounded(monkeypatch, store, rows, budget=4096):
+    """Read each of rows, distinct and none stored, with the row budget cut
+    to `budget` bytes: the store's running total is the estimate of the rows
     it holds, it never exceeds the budget plus the largest row read, and
-    the budget cleared the cache at least once."""
+    the budget cleared the store at least once."""
     monkeypatch.setattr(rc, "_ROW_CACHE_BYTES", budget)
-    cache.cache_clear()
+    store.clear()
+    built = count_builds(monkeypatch, store)
     held, largest, clears = [], 0, 0
     for n, x in rows:
-        row = cache(n, x)
-        size = 36 * len(row) + sum(map(int.bit_length, row)) // 8
+        row = store[n, x]
+        size = estimate(row)
         largest = max(largest, size)
-        if held and cache.cache_info().currsize == 1:  # cleared for this row
+        if held and len(store) == 1:  # cleared for this row
             held, clears = [], clears + 1
         held.append(size)
-        assert cache.cache_bytes() == sum(held) <= budget + largest, (n, x)
-        assert cache.cache_info().currsize == len(held)
-    assert clears and cache.cache_info().misses == len(rows)
+        assert store.held == sum(held) <= budget + largest, (n, x)
+        assert len(store) == len(held)
+    assert clears and len(built) == len(rows)
 
 
 def test_vector_cache_is_bounded(monkeypatch):
-    # the two row caches of whole rows, _F_row and _F_hat_row, hold what the
+    # the two row stores of whole rows, _F_rows and _F_hat_rows, hold what the
     # deleted cache of binomial vectors held, and must stay as bounded: every
     # row of the orders up to 60, then the rows of the queries workload
     # (moderate n at a share of n, large n with x <= 12, and x ~ n / 2 near
@@ -226,20 +239,39 @@ def test_vector_cache_is_bounded(monkeypatch):
     rows += [(n, round(share * n)) for n, share in moderate]
     rows += [(round(10 ** (3 + j / 4)) + j % 2, x) for j, x in enumerate(range(1, 13))]
     rows += [(3000, 1500)]
-    for cache in (rc._F_row, pal._F_hat_row):
-        assert_sweep_is_bounded(monkeypatch, cache, list(dict.fromkeys(rows)))
+    for store in (rc._F_rows, pal._F_hat_rows):
+        assert_sweep_is_bounded(monkeypatch, store, list(dict.fromkeys(rows)))
 
 
-def test_uncached_builder_leaves_the_row_cache_alone():
+def test_uncached_builder_leaves_the_row_cache_alone(monkeypatch):
     clear_kernel()
+    built = count_builds(monkeypatch, rc._F_rows)
     rc.F(300, 150, 3)
-    state = rc._F_row.cache_info(), rc._F_row.cache_bytes()
-    assert state[0].misses == state[0].currsize == 1 and state[1] > 0
+    state = dict(rc._F_rows), rc._F_rows.held
+    assert built == list(state[0]) == [(300, 150)] and state[1] > 0
     for n, x in ((300, 150), (301, 150)):
-        rc._F_row.__wrapped__(n, x)
-        assert (rc._F_row.cache_info(), rc._F_row.cache_bytes()) == state
-    rc._F_row.cache_clear()
-    assert rc._F_row.cache_info() == (0, 0, None, 0) and rc._F_row.cache_bytes() == 0
+        rc._F_row(n, x)
+        assert (dict(rc._F_rows), rc._F_rows.held) == state and len(built) == 1
+    rc._F_rows.clear()
+    assert len(rc._F_rows) == 0 and rc._F_rows.held == 0
+
+
+def measured(rows):
+    """sys.getsizeof of each tuple and of each int outside the interpreter's
+    shared small ints, -5..256, which cost the tuple its slot alone."""
+    return sum(sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row if not -5 <= v <= 256)
+               for row in rows)
+
+
+@pytest.mark.parametrize("n", [400, 800])
+def test_row_store_estimate_is_close_to_measured_bytes(n):
+    # a zero costs a tuple slot, not an int, and most palindromic entries
+    # are zero: every row of both kinds of one order is counted within 10%
+    for kind, store in (("plain", rc._F_rows), ("palindromic", pal._F_hat_rows)):
+        store.clear()
+        mat.build_matrix(n, kind)
+        assert len(store) == n + 1, kind
+        assert abs(store.held - measured(store.values())) <= measured(store.values()) / 10, kind
 
 
 def test_half_length_row_cold_in_both_orders():
@@ -290,7 +322,7 @@ def test_stepped_palindromic_cells_equal_per_centre_sums(cell):
 
 
 def test_stepped_palindromic_cells_at_mid_k_equal_their_row():
-    row = pal._F_hat_row.__wrapped__(12000, 6000)
+    row = pal._F_hat_row(12000, 6000)
     for k in (1500, 2000):
         assert pal._F_hat_cell(12000, 6000, k) == row[k], k
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from zeroruns import compositions as comp, matrices as mat, palindromic as pal, runcount as rc
 from zeroruns.compositions import compositions_by_largest_summand
+from test_large_n import count_builds
 
 PRINTED_F = {
     1: ((1, 0), (0, 1)),
@@ -191,37 +192,39 @@ def test_palindromic_row_builds_one_pair_of_vectors(monkeypatch, row):
     monkeypatch.setattr(rc, "_binomials", spy)
     monkeypatch.setattr(pal, "_binomials", spy)
     n, x = row
-    assert pal._F_hat_row.__wrapped__(n, x) == tuple(pal._F_hat_cell(n, x, k)
-                                                     for k in range(x + 1))
+    assert pal._F_hat_row(n, x) == tuple(pal._F_hat_cell(n, x, k) for k in range(x + 1))
     assert calls == [(n // 2 - 1, (x - n % 2) // 2)]
 
 
-def test_second_pass_over_rows_adds_no_cache_misses():
+def test_second_pass_over_rows_adds_no_cache_misses(monkeypatch):
     rows = [(n, x) for n in (30, 31, 300, 301) for x in (0, 1, 2, 7, n // 3, n)]
     rows += [(10**5, 3), (10**5, 12)]
+    rc._F_rows.clear()
+    pal._F_hat_rows.clear()
+    built = count_builds(monkeypatch, rc._F_rows), count_builds(monkeypatch, pal._F_hat_rows)
 
     def sweep():
         for n, x in rows:
             for k in range(x + 1):
                 rc.F(n, x, k)
                 pal.F_hat(n, x, k)
-        return rc._F_row.cache_info().misses, pal._F_hat_row.cache_info().misses
+        return len(built[0]), len(built[1])
 
-    rc._F_row.cache_clear()
-    pal._F_hat_row.cache_clear()
     first = sweep()
     assert first[0] >= len(rows) and first[1] == len(rows)
     assert sweep() == first
 
 
-def test_second_matrix_build_adds_no_cache_misses():
-    # the 91 rows of each kind fit the row caches' byte budget, so a second
+def test_second_matrix_build_adds_no_cache_misses(monkeypatch):
+    # the 91 rows of each kind fit the row stores' byte budget, so a second
     # build of either kind reads every row back
-    def misses():
-        return rc._F_row.cache_info().misses, pal._F_hat_row.cache_info().misses
+    rc._F_rows.clear()
+    pal._F_hat_rows.clear()
+    built = count_builds(monkeypatch, rc._F_rows), count_builds(monkeypatch, pal._F_hat_rows)
 
-    rc._F_row.cache_clear()
-    pal._F_hat_row.cache_clear()
+    def misses():
+        return len(built[0]), len(built[1])
+
     for kind in ("plain", "palindromic"):
         first, before = mat.build_matrix(90, kind), misses()
         assert mat.build_matrix(90, kind) == first
@@ -230,14 +233,14 @@ def test_second_matrix_build_adds_no_cache_misses():
 
 def test_matrix_builds_leave_the_kernel_caches_empty():
     # the stepping cell kernel keeps no cache, and the builds write only the
-    # two bounded row caches (test_large_n.test_vector_cache_is_bounded),
-    # never a partition cache; the Gaussian kernel keeps none, and _P_row is
+    # two bounded row stores (test_large_n.test_vector_cache_is_bounded),
+    # never a partition store; the Gaussian kernel keeps none, and _P_rows is
     # the only one
     assert not hasattr(rc._bounded, "cache_info")
     assert not hasattr(comp._bounded_partitions, "cache_info")
-    assert [name for name, f in vars(comp).items()
-            if hasattr(f, "cache_info") and f.__module__ == comp.__name__] == ["_P_row"]
-    comp._P_row.cache_clear()
+    assert not [name for name, f in vars(comp).items() if hasattr(f, "cache_info")]
+    assert [name for name, v in vars(comp).items() if isinstance(v, rc._Rows)] == ["_P_rows"]
+    comp._P_rows.clear()
     mat.build_matrix(300)
     mat.build_matrix(300, "palindromic")
-    assert comp._P_row.cache_info().currsize == 0
+    assert len(comp._P_rows) == 0

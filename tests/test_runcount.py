@@ -141,9 +141,9 @@ def test_results_do_not_depend_on_warm_state_or_call_order():
     table = oracle.oracle_count(12)
     triples = [(12, x, k) for x in range(13) for k in range(x + 1)]
     want = [table.count(x, k) for _, x, k in triples]
-    rc._F_row.cache_clear()
+    rc._F_rows.clear()
     assert [rc.F(*t) for t in triples] == want
-    rc._F_row.cache_clear()
+    rc._F_rows.clear()
     assert [rc.F(*t) for t in reversed(triples)] == want[::-1]
     assert [rc.F(*t) for t in triples] == want
 
