@@ -52,20 +52,17 @@ def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[
 def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula") -> int:
     """Total '+' signs over all (palindromic) compositions of m >= 2.
 
-    The closed formulas are (m-1) 2^(m-2) in the plain case and, for
+    The printed formulas are (m-1) 2^(m-2) in the plain case and, for
     palindromic compositions, (m-1)/2 * 2^((m-1)/2) for odd m and
-    (m-1) 2^(m/2-1) for even m; the fsum path evaluates sum x*F(m-1, x, k)
-    instead and must agree.
+    (m-1) 2^(m/2-1) for even m: each is (m-1)/2 times the number of
+    compositions, the formula path.  The fsum path evaluates
+    sum x*F(m-1, x, k) instead and must agree.
     """
     require_ints(m)
     if m < 2:
         raise ValueError("plus_signs_total is defined for m >= 2")
     if method == "formula":
-        if not palindromic:
-            return (m - 1) * 2 ** (m - 2)
-        if m % 2:
-            return (m - 1) // 2 * 2 ** ((m - 1) // 2)
-        return (m - 1) * 2 ** (m // 2 - 1)
+        return (m - 1) * _count(m, palindromic) // 2
     if method == "fsum":
         count = F_hat if palindromic else F
         n = m - 1
@@ -75,20 +72,20 @@ def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula")
 
 def summands_total(m: int, palindromic: bool = False, method: str = "formula") -> int:
     """Total summand count over all (palindromic) compositions of m >= 2:
-    one more than the '+' signs per composition."""
+    one more than the '+' signs per composition.  The printed formulas are
+    those of plus_signs_total with m+1 in place of m-1, (m+1)/2 times the
+    number of compositions."""
     require_ints(m)
     if m < 2:
         raise ValueError("summands_total is defined for m >= 2")
-    if method == "formula":
-        if not palindromic:
-            return (m + 1) * 2 ** (m - 2)
-        if m % 2:
-            return (m + 1) // 2 * 2 ** ((m - 1) // 2)
-        return (m + 1) * 2 ** (m // 2 - 1)
-    if method == "fsum":
-        compositions = 2 ** (m // 2) if palindromic else 2 ** (m - 1)
-        return plus_signs_total(m, palindromic, "fsum") + compositions
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return plus_signs_total(m, palindromic, method) + _count(m, palindromic)
+
+
+def _count(m: int, palindromic: bool) -> int:
+    """The number of (palindromic) compositions of m >= 1: the words of
+    length m - 1, 2^(m-1), or its palindromes, 2^(m//2), each fixed by its
+    first m // 2 letters."""
+    return 2 ** (m // 2) if palindromic else 2 ** (m - 1)
 
 
 def two_count_palindromic(m: int) -> int:

@@ -9,9 +9,10 @@ the same ones, so the centres sum in closed form: G_k, the palindromes of one
 row whose zero-runs are all at most k, is two dot products, and the cell of
 longest run k is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  F_hat reads
 its cells from the row store _F_hat_rows, whose rows take every G_k from one
-pair of runcount._binomials; past the dot side, _F_hat_cell steps the two G
-of one cell with runcount._bounded.  support_hat_set reads the support off
-the same split, and so does compositions.P_hat.
+pair of runcount._binomials.  Past the dot side, _F_hat_cell reads a central
+one's cell from runcount._F_cell, and any other cell as its free centre plus
+corrections stepped with runcount._bounded.  support_hat_set reads the
+support off the same split, and so does compositions.P_hat.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from itertools import accumulate
 from operator import mul, sub
 
-from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_rows, _Rows,
+from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_cell, _F_rows, _Rows,
                        binomial, feasible, min_k, not_ints, require_ints)
 
 __all__ = [
@@ -51,41 +52,36 @@ def F_hat(n: int, x: int, k: int) -> int:
 
 
 def _F_hat_cell(n: int, x: int, k: int) -> int:
-    """F_hat(n, x, k) alone: G_k - G_(k-1) of _F_hat_row, with h, y and m
-    as there, and the two dot products of each G stepped.  dot(k, a) =
-    sum_i (-1)^i C(m+1, i) C(h + 1 - a - i(k+1), m + 1) counts the words of
-    length h + 1 - a with m + 1 ones whose zero-runs are all at most k but
-    the last, which is free: runcount._bounded(h + 1 - a, y - a, k,
-    free=True).  The whole count that each starts from, C(h + 1 - a, y - a),
-    is C(h + 1, y) C(y, a) / C(h + 1, a), so one math.comb of the row's size
-    serves all four.  At k = 1, G_1 telescopes to A_1(h, y) = C(m + 1, y),
-    the y zeros in distinct gaps among m + 1, and needs no stepping.  Odd n
-    with even x steps the plain pair A_k - A_(k-1) on the half row
-    (n // 2, x // 2).  The arguments are not checked; an empty class gives
-    0.
+    """F_hat(n, x, k) alone, with h, y and m as in _F_hat_row.  Odd n with
+    even x is the plain cell of its half row, runcount._F_cell.  Otherwise
+    G_k = dot(k, 0) - dot(k, d + 1), d = (k - n % 2) // 2, with
+    dot(k, a) = sum_i (-1)^i C(m+1, i) C(h + 1 - a - i(k+1), m + 1) the
+    words of length h + 1 - a with y - a zeros whose zero-runs are all at
+    most k but the last, which is free: runcount._bounded(h + 1 - a, y - a,
+    k, C(h + 1 - a, y - a), True).  In G_k - G_(k-1) the terms i = 0 leave,
+    by Pascal's rule, C(h - d, y - d) where k = n (mod 2), the central
+    block 0^k with its half free, and 0 otherwise; the terms i >= 1 are
+    corrections(k), both dot products stepped with whole = 0.  Past k = y
+    no correction has a term, and the centre alone is the cell.  At k = 1,
+    G_1 telescopes to A_1(h, y) = C(m + 1, y), the y zeros in distinct gaps
+    among m + 1.  The arguments are not checked; an empty class gives 0.
     """
     if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
         return 0
     if x in (0, n):
         return 1
     if n % 2 and x % 2 == 0:
-        whole = math.comb(n // 2, x // 2)
-        return _bounded(n // 2, x // 2, k, whole) - _bounded(n // 2, x // 2, k - 1, whole)
+        return _F_cell(n // 2, x // 2, k) if feasible(n // 2, x // 2, k) else 0
     h, y = n // 2 - 1, (x - n % 2) // 2
-    if k > y:  # only the centre c = k is left, its half free
-        d, odd = divmod(k - n % 2, 2)
-        return 0 if odd else math.comb(h - d, y - d)
     if k == 1:
         return math.comb(h - y + 1, y)
-    whole = math.comb(h + 1, y)
 
-    def dot(k: int, a: int) -> int:
-        return _bounded(h + 1 - a, y - a, k, whole * math.comb(y, a) // math.comb(h + 1, a), True)
+    def corrections(k: int) -> int:
+        a = (k - n % 2) // 2 + 1
+        return _bounded(h + 1, y, k, 0, True) - _bounded(h + 1 - a, y - a, k, 0, True)
 
-    def bounded(k: int) -> int:
-        return dot(k, 0) - dot(k, (k - n % 2) // 2 + 1)
-
-    return bounded(k) - bounded(k - 1)
+    d, odd = divmod(k - n % 2, 2)
+    return corrections(k) - corrections(k - 1) + (0 if odd else math.comb(h - d, y - d))
 
 
 def _F_hat_row(n: int, x: int) -> tuple[int, ...]:

@@ -216,10 +216,13 @@ def _F_row(n: int, x: int) -> tuple[int, ...]:
 _F_rows = _Rows(_F_row)
 
 
-def _bounded(n: int, x: int, k: int, whole: int | None = None, free: bool = False) -> int:
+def _bounded(n: int, x: int, k: int, whole: int, free: bool = False) -> int:
     """Words of length n with x zeros whose zero-runs all have length <= k,
-    by stepping; whole is C(n, x) where the caller already has it.  With
-    free, the last gap is exempt: its run may have any length.
+    by stepping, where whole is the j = 0 term below: C(n, x) for the count
+    itself, or 0 for its corrections alone, the terms j >= 1 (asked for with
+    free only: a count that is 0 because x > (m + 1) k returns 0 whatever
+    whole is).  With free, the last gap is exempt: its run may have any
+    length.
 
     The zeros fill the m + 1 gaps around m = n - x ones, at most k in each of
     the g = m + 1 - free bounded gaps; inclusion-exclusion over the j gaps
@@ -230,16 +233,15 @@ def _bounded(n: int, x: int, k: int, whole: int | None = None, free: bool = Fals
     the bound binds.  Each term is the one after it times an exact ratio,
     C(n - j(k+1) + k + 1, m) / C(n - j(k+1), m) = C(n - (j-1)(k+1), k+1) /
     C(x - (j-1)(k+1), k+1), so one cell costs about x // (k+1) such steps
-    and holds only a few numbers at a time.  The j = 0 term is C(n, x).
+    and holds only a few numbers at a time.  At x = -1, as a palindromic
+    correction may ask, j is -1 and the count is whole alone.
     """
     m = n - x
-    if whole is None:
-        whole = math.comb(n, x)
     if not free and x > (m + 1) * k:
         return 0
     g = m + 1 - free
     j = min(x // (k + 1), g)
-    if j == 0:
+    if j <= 0:
         return whole
     term = (-1) ** j * math.comb(g, j) * math.comb(n - j * (k + 1), m)
     total = whole + term
@@ -256,12 +258,11 @@ def F(n: int, x: int, k: int) -> int:
     F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
     zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
     Heads", 1990).  On the dot side (_dot_side) a cell is read from its whole
-    row in _F_rows, which the cells of one row share.  Past it the cell is one
-    binomial where the paper's closed forms cover it, C(m + 1, x) at k = 1 and
-    (m + 1) C(n - k - 1, x - k) for k > x // 2 (F_closed_high_k), with
-    m = n - x, and otherwise steps.  No recursion, so large n is as safe as
-    small n.  The paper's recurrence is a checked identity, not a path.
-    Raises ValueError on non-int arguments.
+    row in _F_rows, which the cells of one row share.  Past it _F_cell
+    answers the cell alone, one binomial where the paper's closed forms cover
+    it.  No recursion, so large n is as safe as small n.  The paper's
+    recurrence is a checked identity, not a path.  Raises ValueError on
+    non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
@@ -269,6 +270,17 @@ def F(n: int, x: int, k: int) -> int:
         return 0
     if _dot_side(n, x):
         return _F_rows[n, x][k]
+    return _F_cell(n, x, k)
+
+
+def _F_cell(n: int, x: int, k: int) -> int:
+    """F(n, x, k) alone, for a feasible class with k >= 1: C(m + 1, x) at
+    k = 1, the x zeros in distinct gaps among m + 1 = n - x + 1, and
+    (m + 1) C(n - k - 1, x - k) for k > x // 2 (F_closed_high_k), one
+    binomial each, and between them A_k - A_(k-1), both stepped by _bounded.
+    F answers its cells past the dot side here, and palindromic._F_hat_cell
+    those of a central one.  The arguments are not checked.
+    """
     m = n - x
     if k == 1:
         return math.comb(m + 1, x)

@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import accumulate
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +83,27 @@ def test_sign_and_summand_paths_match_enumeration(m, palindromic):
     if not palindromic:
         assert signs == (m - 1) * 2 ** (m - 2)
         assert summands == (m + 1) * 2 ** (m - 2)
+
+
+def printed_totals(m, palindromic):
+    """The printed closed forms of the '+' sign total and, with m + 1 in
+    place of m - 1, of the summand total over the compositions of m >= 2."""
+    def printed(c):
+        if not palindromic:
+            return c * 2 ** (m - 2)
+        if m % 2:
+            return c // 2 * 2 ** ((m - 1) // 2)
+        return c * 2 ** (m // 2 - 1)
+    return printed(m - 1), printed(m + 1)
+
+
+@pytest.mark.parametrize("palindromic", [False, True])
+def test_sign_and_summand_totals_equal_printed_forms(palindromic):
+    for m in range(2, 400):
+        signs, summands = printed_totals(m, palindromic)
+        for method in ("formula", "fsum") if m <= 40 else ("formula",):
+            assert comp.plus_signs_total(m, palindromic, method) == signs, (m, method)
+            assert comp.summands_total(m, palindromic, method) == summands, (m, method)
 
 
 def test_two_count_palindromic():
@@ -286,7 +308,8 @@ def test_cumulative_lookups_equal_sums_over_run_length(h):
     # F_hat and P_hat take "any run length j <= k" in one lookup each
     for y in range(h + 1) if h <= 30 else range(13):
         for k in range(y + 2):
-            assert sum(F(h, y, j) for j in range(k + 1)) == rc._bounded(h, y, k), (h, y, k)
+            assert (sum(F(h, y, j) for j in range(k + 1))
+                    == rc._bounded(h, y, k, comb(h, y))), (h, y, k)
             assert (sum(comp.P(h, y, j) for j in range(k + 1))
                     == comp._bounded_partitions(y, h - y + 1, k)), (h, y, k)
 

@@ -90,8 +90,13 @@ def test_bounded_against_direct_sum():
             # includes k > x, and the empty sums where x > (n - x + 1) k
             for k in range(n + 2):
                 for free in (False, True):
-                    assert rc._bounded(n, x, k, free=free) == bounded_direct(n, x, k, free), (
-                        n, x, k, free)
+                    want = bounded_direct(n, x, k, free)
+                    assert rc._bounded(n, x, k, math.comb(n, x), free) == want, (n, x, k, free)
+                    if free:  # whole = 0 leaves the corrections, the terms j >= 1
+                        assert rc._bounded(n, x, k, 0, True) == want - math.comb(n, x), (n, x, k)
+    # a palindromic correction may ask for x = -1 zeros: no term at all
+    for n, k in ((0, 1), (5, 1), (5, 3), (40, 7)):
+        assert rc._bounded(n, -1, k, 0, True) == 0, (n, k)
 
 
 def rows(n_min, n_max, x_min, x_max):
@@ -115,7 +120,8 @@ STEPPED = rows(2 * 10**5, 10**6, 600, 700)
 @settings(max_examples=40, deadline=None)
 @given(cells(SMALL_X) | cells(LARGE_X) | cells(STEPPED))
 def test_bounded_equals_direct_sum_on_random_cells(cell):
-    assert rc._bounded(*cell) == bounded_direct(*cell)
+    n, x, k = cell
+    assert rc._bounded(n, x, k, math.comb(n, x)) == bounded_direct(n, x, k)
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,8 +185,10 @@ def test_stepped_cells_from_closed_forms_equal_stepping(row):
     # _bounded steps both A_k and A_(k-1) there and at k = x // 2
     n, x = row
     assert not rc._dot_side(n, x)
+    whole = math.comb(n, x)
     for k in {1, x // 2, x // 2 + 1, x}:
-        stepped = rc._bounded(n, x, k) - rc._bounded(n, x, k - 1) if rc.feasible(n, x, k) else 0
+        stepped = (rc._bounded(n, x, k, whole) - rc._bounded(n, x, k - 1, whole)
+                   if rc.feasible(n, x, k) else 0)
         assert rc.F(n, x, k) == stepped, (n, x, k)
 
 
@@ -323,8 +331,32 @@ def test_stepped_palindromic_cells_equal_per_centre_sums(cell):
 
 def test_stepped_palindromic_cells_at_mid_k_equal_their_row():
     row = pal._F_hat_row(12000, 6000)
-    for k in (1500, 2000):
+    # y = 3000: the corrections of k = 3000 are 0, those of k - 1 one term;
+    # past y only the central block 0^k is left, for even k
+    for k in (1500, 2000, 2999, 3000, 3001, 5999, 6000):
         assert pal._F_hat_cell(12000, 6000, k) == row[k], k
+
+
+def test_lone_central_one_cells_call_no_stepping(monkeypatch):
+    # odd n, even x: the cell is F's of the half row (10^5, 5 * 10^4), one
+    # binomial at k = 1 and past x // 4, half the half row's zeros
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return bounded(*args)
+
+    bounded = rc._bounded
+    monkeypatch.setattr(rc, "_bounded", spy)
+    monkeypatch.setattr(pal, "_bounded", spy)
+    n, x = 2 * 10**5 + 1, 10**5
+    assert not rc._dot_side(n // 2, x // 2)
+    assert pal._F_hat_cell(n, x, 1) == rc.binomial(n // 2 - x // 2 + 1, x // 2)
+    for k in (x // 4 + 1, x // 4 + 2, 30001, x // 2 - 1, x // 2):
+        assert pal._F_hat_cell(n, x, k) == rc.F_closed_high_k(n // 2, x // 2, k), k
+    assert calls == []
+    # past x // 2 no half row holds the run
+    assert pal._F_hat_cell(n, x, x // 2 + 1) == 0
 
 
 def test_palindromes_at_6001():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,14 +168,15 @@ def test_row_builds_equal_cellwise_counts(kind):
 @example((600, 2))
 def test_rows_equal_cells_to_order_600(row):
     # F and F_hat read these rows.  A plain row is checked against the
-    # stepping kernel, which builds no vectors.  A palindromic row and
-    # _F_hat_cell both take each cell as G_k - G_(k-1), the palindromes with
-    # runs at most k summed over centres, one by dot products of vectors and
-    # one by stepping each of them with _bounded; the per-centre reference,
-    # the prefix DP and the run-avoiding recurrence of test_palindromic check
-    # the sums themselves
+    # stepping kernel, which builds no vectors.  A palindromic row takes each
+    # cell as G_k - G_(k-1), the palindromes with runs at most k summed over
+    # centres, by dot products of vectors; _F_hat_cell steps the corrections
+    # of G_k - G_(k-1) with _bounded and adds the free central block.  The
+    # per-centre reference, the prefix DP and the run-avoiding recurrence of
+    # test_palindromic check the sums themselves
     n, x = row
-    assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k) - rc._bounded(n, x, k - 1)
+    whole = math.comb(n, x)
+    assert rc._F_row(n, x) == tuple(rc._bounded(n, x, k, whole) - rc._bounded(n, x, k - 1, whole)
                                     for k in range(x + 1))
     assert pal._F_hat_row(n, x) == tuple(pal._F_hat_cell(n, x, k) for k in range(x + 1))
 

@@ -104,6 +104,14 @@ def test_F_hat_high_k_agrees_on_window(n):
             assert pal.F_hat_high_k(n, x, k) == pal.F_hat(n, x, k), (n, x, k)
 
 
+@pytest.mark.parametrize("n, x", [(30000, 15000), (30001, 15001)])
+def test_F_hat_high_k_equals_lone_stepped_cells(n, x):
+    # past the dot side: the half row (15000, 7500) steps
+    assert not rc._dot_side(n // 2, x // 2)
+    for k in range(x // 2 + 1, x + 1):
+        assert pal.F_hat_high_k(n, x, k) == pal._F_hat_cell(n, x, k), (n, x, k)
+
+
 def test_lemma_positivity_hat_examples():
     assert pal.lemma_positivity_hat(5, 4, 2)
     # the printed inequality misses the parity obstruction:
