@@ -21,8 +21,6 @@ from . import palindromic as pal
 from . import runcount as rc
 from . import sequences as seq
 
-ENV_ORACLE_CAP = "ZERORUNS_ORACLE_CAP"
-
 __all__ = ["main"]
 
 # parsed arguments that select how a command runs rather than what it computes
@@ -174,15 +172,8 @@ def _cmd_verify(args) -> int:
     # other command would pay for compiling the module at start-up
     from .verify import run_checks
 
-    cap = args.oracle_cap
-    env = os.environ.get(ENV_ORACLE_CAP)
-    if cap is None and env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"invalid {ENV_ORACLE_CAP}: {env!r}") from None
     failures, report, rows = 0, [], []
-    for check in run_checks(args.max_n, args.suite, cap):
+    for check in run_checks(args.max_n, args.suite, args.oracle_cap):
         lines = [f"{check.status} {check.name}",
                  *(f"  flag: {message}" for message in check.flags),
                  *(f"  fail: {message}" for message in check.failures[:20])]
@@ -204,6 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "plain"),
                         default="plain", help="output format")
+    palindromic = argparse.ArgumentParser(add_help=False)
+    palindromic.add_argument("--palindromic", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="zeroruns",
@@ -219,23 +212,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[common, palindromic],
                        help="all nonzero counts for one length")
     p.add_argument("n", type=int)
-    p.add_argument("--palindromic", action="store_true")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("support", parents=[common],
+    p = sub.add_parser("support", parents=[common, palindromic],
                        help="the pairs (x, k) with a nonzero count")
     p.add_argument("n", type=int)
-    p.add_argument("--palindromic", action="store_true")
     p.add_argument("--formula", action="store_true",
                    help="compare the enumerated size against the closed formula")
     p.set_defaults(func=_cmd_support)
 
-    p = sub.add_parser("matrix", parents=[common], help="the count matrix")
+    p = sub.add_parser("matrix", parents=[common, palindromic], help="the count matrix")
     p.add_argument("n", type=int)
-    p.add_argument("--palindromic", action="store_true")
     p.add_argument("--props", action="store_true",
                    help="trace, determinant, eigenvalues, idempotence")
     p.set_defaults(func=_cmd_matrix)
@@ -249,27 +239,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of terms")
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("compositions", parents=[common],
+    p = sub.add_parser("compositions", parents=[common, palindromic],
                        help="composition counts by largest summand")
     p.add_argument("m", type=int)
-    p.add_argument("--palindromic", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="totals of compositions, '+' signs and summands")
     p.set_defaults(func=_cmd_compositions)
 
-    p = sub.add_parser("partitions", parents=[common],
+    p = sub.add_parser("partitions", parents=[common, palindromic],
                        help="partition-class counts")
     p.add_argument("n", type=int)
     p.add_argument("x", type=int, nargs="?", default=None)
     p.add_argument("k", type=int, nargs="?", default=None)
-    p.add_argument("--palindromic", action="store_true")
     p.set_defaults(func=_cmd_partitions)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the brute-force cross-checks")
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.add_argument("--oracle-cap", type=int, default=None,
-                   help=f"enumeration cap (overrides ${ENV_ORACLE_CAP})")
+                   help="enumeration cap")
     p.add_argument("--suite", choices=("all", "core", "palindromic", "compositions"),
                    default="all")
     p.set_defaults(func=_cmd_verify)

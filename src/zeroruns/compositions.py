@@ -15,9 +15,9 @@ of its own.
 
 from __future__ import annotations
 
-from .palindromic import F_hat, _F_hat_cell
+from .palindromic import F_hat
 from .runcount import F, _Rows, feasible, not_ints, require_ints
-from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms
+from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms, _run_terms
 
 __all__ = [
     "compositions_by_largest_summand",
@@ -90,12 +90,27 @@ def _count(m: int, palindromic: bool) -> int:
 
 def two_count_palindromic(m: int) -> int:
     """Total number of 2-summands over palindromic {1,2}-compositions of m,
-    as the weighted column sum  sum_x x * F_hat(m-1, x, 1).  A column crosses
-    every row, so its cells step (_F_hat_cell) rather than build the rows."""
+    as the weighted column sum  sum_x x * F_hat(m-1, x, 1): the zeros of the
+    palindromes of length n = m - 1 with no "00", read off their halves.
+
+    A word has no "00" iff its complement has no "11", so with the
+    run-avoiding terms of sequences._run_terms the words of length j with no
+    "00" number T(2, j) and hold Z(j) = j T(2, j) - O(2, j) zeros.  An odd
+    palindrome is fixed by its first j = (n + 1) / 2 letters, centre
+    included, which have no "00" iff it has none; it holds each of their
+    zeros twice but a central one, so the total is 2 Z(j) less the halves
+    that end in 0, T(2, j) - T(2, j - 1) of them.  An even palindrome's half
+    of j = n / 2 letters must end in 1, after any j - 1 letters with no
+    "00": 2 Z(j - 1).
+    """
     require_ints(m)
     if m < 2:
         raise ValueError("two_count_palindromic is defined for m >= 2")
-    return sum(x * _F_hat_cell(m - 1, x, 1) for x in range(1, m))
+    j = m // 2
+    (t0, t1), (o0, o1) = (list(_run_terms(2, p, range(j - 1, j + 1))) for p in (1, 2))
+    if m % 2:  # even n
+        return 2 * ((j - 1) * t0 - o0)
+    return 2 * (j * t1 - o1) - t1 + t0
 
 
 def P(n: int, x: int, k: int) -> int:

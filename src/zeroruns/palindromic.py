@@ -30,7 +30,6 @@ __all__ = [
     "lemma_positivity_hat",
     "support_hat_set",
     "support_hat_size_formula",
-    "support_hat_report",
 ]
 
 
@@ -64,7 +63,8 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     corrections(k), both dot products stepped with whole = 0.  Past k = y
     no correction has a term, and the centre alone is the cell.  At k = 1,
     G_1 telescopes to A_1(h, y) = C(m + 1, y), the y zeros in distinct gaps
-    among m + 1.  The arguments are not checked; an empty class gives 0.
+    among m + 1: one binomial, where the corrections would step about y / 2
+    terms.  The arguments are not checked; an empty class gives 0.
     """
     if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
         return 0
@@ -197,7 +197,7 @@ def support_hat_size_formula(n: int) -> int:
     """The printed |S_hat_n| case formulas, evaluated exactly (n >= 2).
 
     These are claims under test: support_hat_set stays authoritative, and
-    support_hat_report exposes both values for comparison.
+    the verification suite compares its size with this value.
     """
     require_ints(n)
     if n < 2:
@@ -210,7 +210,3 @@ def support_hat_size_formula(n: int) -> int:
         return 1 + 5 * (n + 3) * (n - 1) // 16 - tail
     return 1 + (n + 3) * (n - 1) // 4 - tail + (n + 1) ** 2 // 16
 
-
-def support_hat_report(n: int) -> tuple[int, int]:
-    """(enumerated |S_hat_n|, printed formula value) for diagnostics."""
-    return len(support_hat_set(n)), support_hat_size_formula(n)

@@ -241,11 +241,11 @@ def test_c4_plain_support(n):
 def test_c4_palindromic_support_formula(n):
     """Claims-under-test policy: pass iff the printed formula matches the
     enumerated size or the mismatch is flagged with the enumerated value."""
-    enumerated, formula = pal.support_hat_report(n)
-    assert enumerated == len(pal.support_hat_set(n))
+    enumerated, formula = len(pal.support_hat_set(n)), pal.support_hat_size_formula(n)
+    assert enumerated == sum(pal.F_hat(n, x, k) > 0 for x in range(n + 1) for k in range(x + 1))
     if formula != enumerated:
         # flagged: enumeration stays authoritative
-        assert pal.support_hat_report(n)[0] == enumerated
+        assert len(pal.support_hat_set(n)) == enumerated
     else:
         assert formula == enumerated
 

@@ -215,9 +215,10 @@ def test_verify_negative_cap_runs_no_check(capsys, monkeypatch, fmt):
     code, out, err = run(capsys, "verify", "--oracle-cap", "-1", "--max-n", "3",
                          "--format", fmt)
     assert (code, out, err) == (2, "", "error: oracle cap must be >= 0, got -1\n")
-    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "-1")
-    code, out, err = run(capsys, "verify", "--max-n", "3", "--format", fmt)
-    assert (code, out, err) == (2, "", "error: oracle cap must be >= 0, got -1\n")
+    default = run(capsys, "verify", "--max-n", "3", "--format", fmt)
+    set_option_variables(monkeypatch, "-1")
+    assert run(capsys, "verify", "--max-n", "3", "--format", fmt) == default
+    assert default[0] == 0
 
 
 @pytest.mark.parametrize("args, message", [
@@ -281,15 +282,22 @@ def test_verify_cap_failure_exits_one(capsys):
     assert "enumeration cap" in out
 
 
-def test_env_cap_and_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "4")
+def set_option_variables(monkeypatch, value):
+    # ZERORUNS_<OPTION> for each option of verify: no such variable is read,
+    # and the flags are the only way to set an option
+    for dest in ("format", "max_n", "oracle_cap", "suite"):
+        monkeypatch.setenv(f"ZERORUNS_{dest.upper()}", value)
+
+
+def test_env_cap_is_ignored(capsys, monkeypatch):
+    set_option_variables(monkeypatch, "4")
     code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core")
-    assert code == 1
-    code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
-                       "--oracle-cap", "20")
     assert code == 0
-    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "junk")
-    assert run(capsys, "verify", "--max-n", "4")[0] == 2
+    code, out, _ = run(capsys, "verify", "--max-n", "6", "--suite", "core",
+                       "--oracle-cap", "4")
+    assert code == 1
+    set_option_variables(monkeypatch, "junk")
+    assert run(capsys, "verify", "--max-n", "4")[0] == 0
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
@@ -317,10 +325,10 @@ def test_verify_all_golden(capsys):
 
 
 def test_oracle_cap_belongs_to_verify_only(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_ORACLE_CAP, "junk")
-    code, out, _ = run(capsys, "count", "F", "6", "3", "2")
+    with monkeypatch.context() as env:
+        set_option_variables(env, "junk")
+        code, out, _ = run(capsys, "count", "F", "6", "3", "2")
     assert code == 0 and out == "12\n"
-    monkeypatch.delenv(cli.ENV_ORACLE_CAP)
     assert run(capsys, "count", "F", "6", "3", "2", "--oracle-cap", "4")[0] == 2
 
 

@@ -71,6 +71,13 @@ def test_sign_and_summand_examples():
 
 
 @pytest.mark.parametrize("palindromic", [False, True])
+@pytest.mark.parametrize("m", [-3, 0, 1])
+def test_summands_total_rejects_short_m_by_its_own_name(m, palindromic):
+    with pytest.raises(ValueError, match="^summands_total is defined for m >= 2$"):
+        comp.summands_total(m, palindromic)
+
+
+@pytest.mark.parametrize("palindromic", [False, True])
 @pytest.mark.parametrize("m", range(2, 16))
 def test_sign_and_summand_paths_match_enumeration(m, palindromic):
     signs = summands = 0
@@ -122,6 +129,14 @@ def test_two_count_matches_enumeration(m):
         if max(parts) <= 2
     )
     assert comp.two_count_palindromic(m) == twos
+
+
+def test_two_count_palindromic_equals_its_column_cell_by_cell():
+    # the weighted column sum over the stepped cells F_hat(m - 1, x, 1),
+    # 20-30 s, nearly all in math.comb
+    for m in range(2, 3000):
+        column = sum(x * pal._F_hat_cell(m - 1, x, 1) for x in range(1, m))
+        assert comp.two_count_palindromic(m) == column, m
 
 
 def test_P_golden_values():
@@ -517,6 +532,16 @@ def test_printed_palindromic_two_rules():
         printed = comp.p_hat_two_printed(n, x)
         truth = comp.P_hat(n, x, 2)
         assert printed is not None and printed < truth, (n, x)
+
+
+def test_printed_palindromic_two_rules_have_no_case_for_an_empty_class():
+    # even n with odd x admits no palindrome, and a zero count near n leaves
+    # the printed slack i negative: no case applies to either
+    cells = [(n, x) for n in (4, 8, 20) for x in range(1, n, 2)]
+    cells += [(7, 6), (9, 8), (9, 9), (8, 8), (10, 10)]
+    for n, x in cells:
+        assert comp.P_hat(n, x, 2) == 0, (n, x)
+        assert comp.p_hat_two_printed(n, x) is None, (n, x)
 
 
 @pytest.mark.parametrize("n", range(-4, 30))
