@@ -2,9 +2,10 @@
 
 Output formats: json (one canonical object per run, byte-stable), csv (one
 flat table with a header row) and plain (minimal human-readable lines).
-Counts are always printed in full decimal.  Exit status: 0 on success, 1 when
-`verify` finds a failing check, 2 on usage errors, 3 on an internal error,
-141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
+Counts are always printed in full decimal, whatever their size.  Exit
+status: 0 on success, 1 when `verify` finds a failing check, 2 on usage
+errors, 3 on an internal error, 141 (128 + SIGPIPE) when stdout is closed
+early, as by `| head`.
 """
 
 from __future__ import annotations
@@ -266,11 +267,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # counts print in full: lift Python's 4300-digit int-to-str limit (3.10.7
+    # and later) for this call, and hand in-process callers theirs back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
@@ -284,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault in the library: one line, no traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,15 +8,15 @@ multiset classes inside one (n, x, k) word class: a coefficient of a
 Gaussian binomial.  One generator, _gaussian, steps [m+k choose k]_q over k
 and is the only such loop.  For x <= _ROW_SIDE a cell is read from its whole
 row in _P_rows, one pass that the cells of one row share and the only partition
-store; past it, and for P_hat, _bounded_partitions and _box_sum read the
-coefficients they need from one uncached pass each.  P_total reads one pass
-of its own.
+store; past it, and for P_hat, _box_sum reads the coefficients it needs from
+one uncached pass a call.  P_total reads one pass of its own.  The '+' sign
+and summand totals are closed forms in the number of compositions, and the
+module reads no F or F_hat: the paper's sums over F are verify's references.
 """
 
 from __future__ import annotations
 
-from .palindromic import F_hat
-from .runcount import F, _Rows, feasible, not_ints, require_ints
+from .runcount import _Rows, feasible, not_ints, require_ints
 from .sequences import _bounded_run_terms, _palindromic_bounded_run_terms, _run_terms
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "P_hat_total",
     "p_hat_two_printed",
 ]
-
-_METHODS = ("formula", "fsum")
 
 
 def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[int, ...]:
@@ -49,28 +47,22 @@ def compositions_by_largest_summand(m: int, palindromic: bool = False) -> tuple[
     return tuple(b - a for a, b in zip(totals, totals[1:]))
 
 
-def plus_signs_total(m: int, palindromic: bool = False, method: str = "formula") -> int:
+def plus_signs_total(m: int, palindromic: bool = False) -> int:
     """Total '+' signs over all (palindromic) compositions of m >= 2.
 
     The printed formulas are (m-1) 2^(m-2) in the plain case and, for
     palindromic compositions, (m-1)/2 * 2^((m-1)/2) for odd m and
     (m-1) 2^(m/2-1) for even m: each is (m-1)/2 times the number of
-    compositions, the formula path.  The fsum path evaluates
-    sum x*F(m-1, x, k) instead and must agree.
+    compositions.  The paper's sum x*F(m-1, x, k) is verify's reference for
+    it.
     """
     require_ints(m)
     if m < 2:
         raise ValueError("plus_signs_total is defined for m >= 2")
-    if method == "formula":
-        return (m - 1) * _count(m, palindromic) // 2
-    if method == "fsum":
-        count = F_hat if palindromic else F
-        n = m - 1
-        return sum(x * count(n, x, k) for x in range(1, n + 1) for k in range(1, x + 1))
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return (m - 1) * _count(m, palindromic) // 2
 
 
-def summands_total(m: int, palindromic: bool = False, method: str = "formula") -> int:
+def summands_total(m: int, palindromic: bool = False) -> int:
     """Total summand count over all (palindromic) compositions of m >= 2:
     one more than the '+' signs per composition.  The printed formulas are
     those of plus_signs_total with m+1 in place of m-1, (m+1)/2 times the
@@ -78,7 +70,7 @@ def summands_total(m: int, palindromic: bool = False, method: str = "formula") -
     require_ints(m)
     if m < 2:
         raise ValueError("summands_total is defined for m >= 2")
-    return plus_signs_total(m, palindromic, method) + _count(m, palindromic)
+    return plus_signs_total(m, palindromic) + _count(m, palindromic)
 
 
 def _count(m: int, palindromic: bool) -> int:
@@ -121,7 +113,7 @@ def P(n: int, x: int, k: int) -> int:
     at most n - x parts, each at most k: the coefficient of q^(x-k) in the
     Gaussian binomial [n-x+k choose k]_q (Andrews, The Theory of Partitions,
     ch. 3).  For x <= _ROW_SIDE the cell is read from its whole row in _P_rows;
-    past it _bounded_partitions computes the one coefficient.  Raises
+    past it _box_sum computes the one coefficient.  Raises
     ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
@@ -130,7 +122,7 @@ def P(n: int, x: int, k: int) -> int:
         return 0
     if x <= _ROW_SIDE:
         return _P_rows[n, x][k]
-    return _bounded_partitions(x - k, n - x, k)
+    return _box_sum((x - k,), n - x, k)
 
 
 # Measured with one row sweep against one cold kernel cell: at x = 512 a row
@@ -171,11 +163,6 @@ def _P_row(n: int, x: int) -> tuple[int, ...]:
 
 
 _P_rows = _Rows(_P_row)
-
-
-def _bounded_partitions(t: int, a: int, b: int) -> int:
-    """Partitions of t into at most a parts, each at most b (t, a, b >= 0)."""
-    return _box_sum((t,), a, b)
 
 
 def _box_sum(ts, a: int, b: int) -> int:
@@ -262,7 +249,7 @@ def P_hat(n: int, x: int, k: int) -> int:
     if n % 2 and x % 2 == 0:
         return _box_sum((x // 2 - k,), n // 2 - x // 2, k)
     gaps = (n - x) // 2
-    total = _bounded_partitions((x - k) // 2, gaps, k) if (n - k) % 2 == 0 else 0
+    total = _box_sum(((x - k) // 2,), gaps, k) if (n - k) % 2 == 0 else 0
     ts = [(x - c) // 2 - k for c in range(n % 2, min(k - 1, x - 2 * k) + 1, 2)]
     return total + (_box_sum(ts, gaps - 1, k) if ts else 0)
 

@@ -21,8 +21,6 @@ __all__ = [
     "sequence",
 ]
 
-_METHODS = ("recurrence", "identity")
-
 
 def fib_f(n: int) -> int:
     """Shifted Fibonacci numbers: f(1) = 2, f(2) = 3, f(n) = f(n-1) + f(n-2)."""
@@ -129,43 +127,33 @@ def _run_terms(r: int, power: int, ns: range):
             yield out[-1]
 
 
-def _run_counts(name: str, r: int, ns: range, method: str) -> list[int]:
-    """T(r, n) (name "T") or O(r, n) (name "O") for every n in ns."""
+def _run_counts(name: str, r: int, ns: range) -> list[int]:
+    """T(r, n) (name "T") or O(r, n) (name "O") for every n in ns, by
+    _run_terms."""
     if r < 2:
         raise ValueError(f"{name} is defined for r >= 2")
     if ns.start < 1:
         raise ValueError(f"{name} is defined for n >= 1")
-    zeros = name == "O"
-    if method == "recurrence":
-        return list(_run_terms(r, 1 + zeros, ns))
-    if method == "identity":
-        # k = 0 counts the all-ones word: F(n, 0, 0) = 1; x outer reads
-        # each row of F once
-        return [sum((n - x if zeros else 1) * F(n, x, k)
-                    for x in range(n + 1) for k in range(min(r, x + 1))) for n in ns]
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    return list(_run_terms(r, 1 + (name == "O"), ns))
 
 
-def T(r: int, n: int, method: str = "recurrence") -> int:
-    """Number of length-n words with no r consecutive ones (r >= 2).
-
-    Two paths: the recurrence of _run_terms (default), or the identity
-    sum F(n, x, k) over 0 <= k <= r-1, which counts by longest zero-run of
-    the complement; the two must agree.
-    """
+def T(r: int, n: int) -> int:
+    """Number of length-n words with no r consecutive ones (r >= 2), by the
+    recurrence of _run_terms.  The paper's sum of F(n, x, k) over
+    0 <= k <= r-1, which counts by longest zero-run of the complement, is
+    verify's reference for it."""
     require_ints(r, n)
-    return _run_counts("T", r, range(n, n + 1), method)[0]
+    return _run_counts("T", r, range(n, n + 1))[0]
 
 
-def O(r: int, n: int, method: str = "recurrence") -> int:
-    """Total zeros over all length-n words with no r consecutive ones.
-
-    Default path is the recurrence of _run_terms, which follows from the
-    paper's O(r, n) = sum O(r, n-i) + T(r, n) over 1 <= i <= r.  The identity
-    path sums the per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1.
-    """
+def O(r: int, n: int) -> int:
+    """Total zeros over all length-n words with no r consecutive ones, by the
+    recurrence of _run_terms, which follows from the paper's
+    O(r, n) = sum O(r, n-i) + T(r, n) over 1 <= i <= r.  The sum of the
+    per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1 is verify's
+    reference for it."""
     require_ints(r, n)
-    return _run_counts("O", r, range(n, n + 1), method)[0]
+    return _run_counts("O", r, range(n, n + 1))[0]
 
 
 def ones_total(n: int, x: int, k: int) -> int:
@@ -269,9 +257,9 @@ def sequence(spec: SequenceSpec) -> list[int]:
     if spec.name == "fibonacci-f":
         return [fib_f(n) for n in ns]
     if spec.name == "t-run":
-        return _run_counts("T", spec.r, ns, "recurrence")
+        return _run_counts("T", spec.r, ns)
     if spec.name == "o-run":
-        return _run_counts("O", spec.r, ns, "recurrence")
+        return _run_counts("O", spec.r, ns)
     if spec.name == "triangular":
         return [F(n, 2, 1) for n in ns]
     if spec.name == "oblong":

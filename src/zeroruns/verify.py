@@ -5,6 +5,10 @@ flags on `check` for lengths up to max_n, and passes cap to any oracle
 enumeration it runs.  Flags mark printed claims that enumeration contradicts;
 they are reported but do not fail the run.  run_checks yields each check once
 it has run, with its status, flags and failures; the caller renders them.
+
+Where the paper writes a count as a sum over F, the sum is kept here as a
+reference (_run_avoiding_by_F, _zeros_by_F), and its check holds the public
+value, the reference and the oracle equal.
 """
 
 from __future__ import annotations
@@ -125,17 +129,34 @@ def _verify_plain_identities(check: Check, max_n: int, cap: int | None) -> None:
         )
 
 
+def _run_avoiding_by_F(r: int, n: int, zeros: bool) -> int:
+    """T(r, n), or O(r, n) when zeros, as the paper's sum over F: a word has
+    no r consecutive ones iff its complement's longest zero-run k is below r
+    (k = 0 the all-ones word, F(n, 0, 0) = 1), and the word's zeros are the
+    complement's ones, n - x.  x outer reads each row of F once."""
+    return sum((n - x if zeros else 1) * rc.F(n, x, k)
+               for x in range(n + 1) for k in range(min(r, x + 1)))
+
+
+def _zeros_by_F(n: int, palindromic: bool) -> int:
+    """Total zeros over the words (or palindromes) of length n, the sum of
+    x F(n, x, k): the '+' signs over the compositions of n + 1, since the
+    complement swaps each word's zeros and ones."""
+    count = pal.F_hat if palindromic else rc.F
+    return sum(x * count(n, x, k) for x in range(1, n + 1) for k in range(1, x + 1))
+
+
 def _verify_runs(check: Check, max_n: int, cap: int | None) -> None:
     oracle.check_cap(max_n, False, cap)
     for r in range(2, 7):
         for n in range(1, max_n + 1):
             t_rec = seq.T(r, n)
-            t_idn = seq.T(r, n, "identity")
+            t_idn = _run_avoiding_by_F(r, n, False)
             t_orc = oracle.oracle_T(r, n, cap=cap)
             check.expect(t_rec == t_idn == t_orc,
                          f"T({r},{n}): rec={t_rec} idn={t_idn} oracle={t_orc}")
             o_rec = seq.O(r, n)
-            o_idn = seq.O(r, n, "identity")
+            o_idn = _run_avoiding_by_F(r, n, True)
             o_orc = oracle.oracle_zero_total(r, n, cap=cap)
             check.expect(o_rec == o_idn == o_orc,
                          f"O({r},{n}): rec={o_rec} idn={o_idn} oracle={o_orc}")
@@ -300,15 +321,17 @@ def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
             check.expect(sum(dist) == expected_total,
                          f"distribution total m={m} pal={palindromic}")
             if m >= 2:
-                for method in ("formula", "fsum"):
-                    check.expect(
-                        comp.plus_signs_total(m, palindromic, method) == signs,
-                        f"plus signs m={m} pal={palindromic} method={method}",
-                    )
-                    check.expect(
-                        comp.summands_total(m, palindromic, method) == summands,
-                        f"summands m={m} pal={palindromic} method={method}",
-                    )
+                signs_by_F = _zeros_by_F(n, palindromic)
+                # a composition has one more summand than '+' signs
+                summands_by_F = signs_by_F + expected_total
+                got = comp.plus_signs_total(m, palindromic)
+                check.expect(got == signs_by_F == signs,
+                             f"plus signs m={m} pal={palindromic}:"
+                             f" formula={got} fsum={signs_by_F} oracle={signs}")
+                got = comp.summands_total(m, palindromic)
+                check.expect(got == summands_by_F == summands,
+                             f"summands m={m} pal={palindromic}:"
+                             f" formula={got} fsum={summands_by_F} oracle={summands}")
         if m >= 2:  # twos as counted by the palindromic pass
             check.expect(comp.two_count_palindromic(m) == twos,
                          f"palindromic two-count at m={m}")

@@ -18,6 +18,7 @@ from zeroruns import (
     runcount as rc,
     sequences as seq,
 )
+from zeroruns.verify import _run_avoiding_by_F, _zeros_by_F
 
 S5 = {
     (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
@@ -146,11 +147,11 @@ def test_c2_counts_match_enumeration(n):
 def test_c2_run_counts_both_paths(r):
     for n in range(1, 13):
         t = oracle.oracle_T(r, n)
-        assert seq.T(r, n, "recurrence") == t
-        assert seq.T(r, n, "identity") == t
+        assert seq.T(r, n) == t
+        assert _run_avoiding_by_F(r, n, False) == t
         o = oracle.oracle_zero_total(r, n)
-        assert seq.O(r, n, "recurrence") == o
-        assert seq.O(r, n, "identity") == o
+        assert seq.O(r, n) == o
+        assert _run_avoiding_by_F(r, n, True) == o
 
 
 @pytest.mark.criterion("C3 global identities to n=30")
@@ -291,9 +292,10 @@ def test_c6_distributions_match_enumeration(m):
             summands += len(parts)
         assert comp.compositions_by_largest_summand(m, palindromic) == tuple(direct)
         if m >= 2:
-            for method in ("formula", "fsum"):
-                assert comp.plus_signs_total(m, palindromic, method) == signs
-                assert comp.summands_total(m, palindromic, method) == summands
+            assert comp.plus_signs_total(m, palindromic) == signs
+            assert _zeros_by_F(m - 1, palindromic) == signs
+            assert comp.summands_total(m, palindromic) == summands
+            assert _zeros_by_F(m - 1, palindromic) + sum(direct) == summands
 
 
 @pytest.mark.criterion("C6 composition layer")

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 import zeroruns
 from zeroruns import cli
+from zeroruns.runcount import F
+from zeroruns.sequences import T
 
 # stdout and exit status of every subcommand and flag in every format,
 # recorded before the front end was refactored; see test_golden_outputs.
@@ -380,3 +383,43 @@ def test_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's int-to-str digit limit, put back after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield before
+    sys.set_int_max_str_digits(before)
+
+
+# one count of 5574 digits and one term of 5294, past the default limit of 4300
+BIG = [(("count", "F", "20000", "10000", "3"), lambda: F(20000, 10000, 3)),
+       (("seq", "t-run", "--r", "3", "--from", "20000", "--count", "1"), lambda: T(3, 20000))]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("argv, value", BIG, ids=["count", "seq"])
+def test_counts_of_any_size_print_in_full(capsys, int_digit_limit, fmt, argv, value):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    sys.set_int_max_str_digits(0)
+    want = str(value())
+    assert len(want) > 4300
+    assert re.findall(r"\d{100,}", out) == [want]
+    if fmt == "plain":
+        assert out == want + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "F", "6", "3", "2"],
+    ["count", "F", "6", "3"],
+    ["seq", "t-run", "--r", "1", "--from", "1", "--count", "1"],
+], ids=["exit-0", "usage-exit-2", "value-error-exit-2"])
+def test_main_gives_the_caller_its_digit_limit_back(capsys, int_digit_limit, argv):
+    sys.set_int_max_str_digits(5000)
+    run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == 5000

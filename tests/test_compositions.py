@@ -12,6 +12,7 @@ from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
 from test_large_n import assert_sweep_is_bounded, count_builds
 from test_palindromic import F_hat_per_cell
+from zeroruns.verify import _zeros_by_F
 
 
 def enumerate_compositions(m, palindromic=False):
@@ -66,8 +67,6 @@ def test_sign_and_summand_examples():
     assert comp.summands_total(2) == 3
     with pytest.raises(ValueError):
         comp.plus_signs_total(1)
-    with pytest.raises(ValueError):
-        comp.summands_total(4, method="guess")
 
 
 @pytest.mark.parametrize("palindromic", [False, True])
@@ -80,13 +79,14 @@ def test_summands_total_rejects_short_m_by_its_own_name(m, palindromic):
 @pytest.mark.parametrize("palindromic", [False, True])
 @pytest.mark.parametrize("m", range(2, 16))
 def test_sign_and_summand_paths_match_enumeration(m, palindromic):
-    signs = summands = 0
-    for parts in enumerate_compositions(m, palindromic):
-        signs += len(parts) - 1
-        summands += len(parts)
-    for method in ("formula", "fsum"):
-        assert comp.plus_signs_total(m, palindromic, method) == signs
-        assert comp.summands_total(m, palindromic, method) == summands
+    compositions = enumerate_compositions(m, palindromic)
+    signs = sum(len(parts) - 1 for parts in compositions)
+    summands = sum(len(parts) for parts in compositions)
+    assert comp.plus_signs_total(m, palindromic) == signs
+    assert comp.summands_total(m, palindromic) == summands
+    # the sum over F, and one summand more than '+' signs per composition
+    by_F = _zeros_by_F(m - 1, palindromic)
+    assert (by_F, by_F + len(compositions)) == (signs, summands)
     if not palindromic:
         assert signs == (m - 1) * 2 ** (m - 2)
         assert summands == (m + 1) * 2 ** (m - 2)
@@ -108,9 +108,13 @@ def printed_totals(m, palindromic):
 def test_sign_and_summand_totals_equal_printed_forms(palindromic):
     for m in range(2, 400):
         signs, summands = printed_totals(m, palindromic)
-        for method in ("formula", "fsum") if m <= 40 else ("formula",):
-            assert comp.plus_signs_total(m, palindromic, method) == signs, (m, method)
-            assert comp.summands_total(m, palindromic, method) == summands, (m, method)
+        assert comp.plus_signs_total(m, palindromic) == signs, m
+        assert comp.summands_total(m, palindromic) == summands, m
+        if m <= 40:
+            # the sum over F, and one summand more than '+' signs per composition
+            by_F = _zeros_by_F(m - 1, palindromic)
+            count = 2 ** (m // 2) if palindromic else 2 ** (m - 1)
+            assert (by_F, by_F + count) == (signs, summands), m
 
 
 def test_two_count_palindromic():
@@ -200,7 +204,7 @@ def test_partition_kernel_against_dp():
     for t in range(41):
         for a in range(46):
             for b in range(46):
-                assert comp._bounded_partitions(t, a, b) == box_partitions(t, a, b), (t, a, b)
+                assert comp._box_sum((t,), a, b) == box_partitions(t, a, b), (t, a, b)
 
 
 @pytest.mark.parametrize("triples", [
@@ -211,7 +215,7 @@ def test_partition_kernel_against_dp():
 def test_partition_kernel_key_is_shared_across_orders(triples):
     # the kernel cells (t, a, b) = (x - k, n - x, k) of the cells (n, x, k):
     # bounds clipped to t and swapped by conjugation give one class, one value
-    values = {comp._bounded_partitions(x - k, n - x, k) for n, x, k in triples}
+    values = {comp._box_sum((x - k,), n - x, k) for n, x, k in triples}
     assert len(values) == 1
     n, x, k = triples[0]
     assert values == {box_partitions(x - k, n - x, k)}
@@ -238,7 +242,7 @@ def test_P_row_equals_kernel_cells(case):
     row = comp._P_row(n, x)
     assert len(row) == x + 1
     for k in ks:
-        want = comp._bounded_partitions(x - k, n - x, k) if k else int(x == 0)
+        want = comp._box_sum((x - k,), n - x, k) if k else int(x == 0)
         assert row[k] == want, (n, x, k)
 
 
@@ -246,7 +250,7 @@ def test_P_row_prefix_sums_are_bounded_partitions():
     # summed over j <= k: the partitions of x into at most n - x + 1 parts <= k
     for n, x in [*((n, x) for n in range(31) for x in range(n + 1)),
                  (300, 150), (301, 299), (1000, 80), (10**6, 12)]:
-        want = [comp._bounded_partitions(x, n - x + 1, k) for k in range(x + 1)]
+        want = [comp._box_sum((x,), n - x + 1, k) for k in range(x + 1)]
         assert list(accumulate(comp._P_row(n, x))) == want, (n, x)
 
 
@@ -271,8 +275,8 @@ def test_rows_with_no_ones(n):
                                      (3, 1, 2), (1, 0, 5), (5, 5, 0)])
 def test_kernel_cells_past_the_degree_are_empty(t, a, b):
     # t > ab: no partition of t fits in the a-by-b box
-    assert comp._bounded_partitions(t, a, b) == 0
-    assert comp._bounded_partitions(t - 1, a, b) == box_partitions(t - 1, a, b)
+    assert comp._box_sum((t,), a, b) == 0
+    assert comp._box_sum((t - 1,), a, b) == box_partitions(t - 1, a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,7 +330,7 @@ def test_cumulative_lookups_equal_sums_over_run_length(h):
             assert (sum(F(h, y, j) for j in range(k + 1))
                     == rc._bounded(h, y, k, comb(h, y))), (h, y, k)
             assert (sum(comp.P(h, y, j) for j in range(k + 1))
-                    == comp._bounded_partitions(y, h - y + 1, k)), (h, y, k)
+                    == comp._box_sum((y,), h - y + 1, k)), (h, y, k)
 
 
 @cache
@@ -467,7 +471,7 @@ def test_totals_at_large_n():
 def test_P_hat_total_leaves_the_gaussian_kernel_cold():
     # the pentagonal list p(0..ceil(n/2)) answers it; the kernel keeps no
     # cache, and _P_rows is the only partition store
-    assert not hasattr(comp._bounded_partitions, "cache_info")
+    assert not hasattr(comp._box_sum, "cache_info")
     assert not [name for name, f in vars(comp).items() if hasattr(f, "cache_info")]
     assert [name for name, v in vars(comp).items() if isinstance(v, rc._Rows)] == ["_P_rows"]
     comp._P_rows.clear()

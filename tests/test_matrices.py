@@ -240,7 +240,7 @@ def test_matrix_builds_leave_the_kernel_caches_empty():
     # never a partition store; the Gaussian kernel keeps none, and _P_rows is
     # the only one
     assert not hasattr(rc._bounded, "cache_info")
-    assert not hasattr(comp._bounded_partitions, "cache_info")
+    assert not hasattr(comp._box_sum, "cache_info")
     assert not [name for name, f in vars(comp).items() if hasattr(f, "cache_info")]
     assert [name for name, v in vars(comp).items() if isinstance(v, rc._Rows)] == ["_P_rows"]
     comp._P_rows.clear()

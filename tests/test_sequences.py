@@ -5,6 +5,7 @@ import pytest
 from zeroruns import compositions as comp, oracle, sequences as seq
 from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F
+from zeroruns.verify import _run_avoiding_by_F
 
 
 def test_fib_f():
@@ -24,8 +25,6 @@ def test_T_examples():
         seq.T(1, 3)
     with pytest.raises(ValueError):
         seq.T(2, 0)
-    with pytest.raises(ValueError):
-        seq.T(2, 3, "guess")
 
 
 def test_O_examples():
@@ -41,9 +40,9 @@ def test_O_examples():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_T_and_O_paths_agree_with_oracle(r, n):
     t = seq.T(r, n)
-    assert t == seq.T(r, n, "identity") == oracle.oracle_T(r, n)
+    assert t == _run_avoiding_by_F(r, n, False) == oracle.oracle_T(r, n)
     o = seq.O(r, n)
-    assert o == seq.O(r, n, "identity") == oracle.oracle_zero_total(r, n)
+    assert o == _run_avoiding_by_F(r, n, True) == oracle.oracle_zero_total(r, n)
 
 
 def list_recurrence(r, n):
@@ -164,8 +163,8 @@ def test_O_splits_at_each_zero(r, n):
 def test_identity_paths_beyond_the_oracle_cap(r):
     assert oracle.DEFAULT_PLAIN_CAP < 23
     for n in range(23, 61):
-        assert seq.T(r, n, "identity") == seq.T(r, n)
-        assert seq.O(r, n, "identity") == seq.O(r, n)
+        assert _run_avoiding_by_F(r, n, False) == seq.T(r, n)
+        assert _run_avoiding_by_F(r, n, True) == seq.O(r, n)
 
 
 def test_ones_total():
