@@ -75,10 +75,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.palindromic:
-        pairs, count = pal.support_hat_set(args.n).pairs, pal.F_hat
+        support, count = pal.support_hat_set(args.n), pal.F_hat
     else:
-        pairs, count = rc.support_set(args.n).pairs, rc.F
-    entries = [[x, k, count(args.n, x, k)] for x, k in sorted(pairs)]
+        support, count = rc.support_set(args.n), rc.F
+    entries = [[x, k, count(args.n, x, k)] for x, k in support]
     _emit(args, {"entries": entries}, "recurrence", ["x", "k", "count"], entries,
           [f"{x} {k} {c}" for x, k, c in entries])
     return 0
@@ -86,18 +86,19 @@ def _cmd_table(args) -> int:
 
 def _cmd_support(args) -> int:
     if args.palindromic:
-        pairs = sorted(pal.support_hat_set(args.n).pairs)
+        support = pal.support_hat_set(args.n)
         formula = pal.support_hat_size_formula(args.n) if args.n >= 2 else None
     else:
-        pairs = sorted(rc.support_set(args.n).pairs)
+        support = rc.support_set(args.n)
         formula = rc.support_size_formula(args.n)
     if args.formula:
-        _emit_fields(args, {"enumerated": len(pairs), "formula": formula,
-                            "match": formula == len(pairs)}, "formula")
+        size = len(support)
+        _emit_fields(args, {"enumerated": size, "formula": formula,
+                            "match": formula == size}, "formula")
         return 0
-    rows = [list(p) for p in pairs]
+    rows = [[x, k] for x, k in support]
     _emit(args, {"pairs": rows}, "recurrence" if args.palindromic else "formula",
-          ["x", "k"], rows, [f"{x} {k}" for x, k in pairs])
+          ["x", "k"], rows, [f"{x} {k}" for x, k in rows])
     return 0
 
 

@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul, sub
 
 from .runcount import (SupportSet, _binomials, _bounded, _dot_side, _F_cell, _F_rows, _Rows,
-                       binomial, feasible, min_k, not_ints, require_ints)
+                       binomial, feasible, not_ints, require_ints)
 
 __all__ = [
     "F_hat",
@@ -182,22 +182,29 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
 
 def support_hat_set(n: int) -> SupportSet:
     """The pairs 0 <= k <= x <= n whose palindromic class is non-empty, by
-    the criterion of lemma_positivity_hat's docstring, one range of k per x.
-    Odd n with even x takes the feasible range of its half row
-    (n // 2, x // 2).  Otherwise x = n (mod 2) is required, and k runs from
-    min_k(n, x), keeping k = n (mod 2), where a central block 0^k leaves a
-    half of (x - k)/2 zeros in M = (n - x)/2 runs of at most k, which fits
-    iff (n, x, k) is feasible, and 2k <= x, where the largest shorter centre
-    c = min(k - 1, x - 2k) of the parity of n leaves the run k to its half."""
+    the criterion of lemma_positivity_hat's docstring, as the ranges of k
+    of each x, built in O(n).  Odd n with even x takes the one feasible
+    range of its half row (n // 2, x // 2).  Otherwise x = n (mod 2) is
+    required, and k runs from min_k(n, x), keeping k = n (mod 2), where a
+    central block 0^k leaves a half of (x - k)/2 zeros in M = (n - x)/2 runs
+    of at most k, which fits iff (n, x, k) is feasible, and 2k <= x, where
+    the largest shorter centre c = min(k - 1, x - 2k) of the parity of n
+    leaves the run k to its half: range(min_k(n, x), x // 2 + 1) and a
+    step-2 range of the k = n (mod 2) above it.  x = 0 has k = 0 alone, and
+    n < 0 no pair."""
     require_ints(n)
-    pairs = {(0, 0)} if n >= 0 else set()
-    for x in range(1, n + 1):
-        if n % 2 and x % 2 == 0:
-            pairs.update((x, k) for k in range(min_k(n // 2, x // 2), x // 2 + 1))
-        elif (n - x) % 2 == 0:
-            pairs.update((x, k) for k in range(min_k(n, x), x + 1)
-                         if (n - k) % 2 == 0 or 2 * k <= x)
-    return SupportSet(n, frozenset(pairs))
+    h = n // 2
+
+    def k_ranges(x: int) -> tuple[range, ...]:
+        if n % 2 and x % 2 == 0:  # from min_k(h, x // 2), 0 at x = 0
+            return (range(h // (h - x // 2 + 1), x // 2 + 1),)
+        if (n - x) % 2:
+            return ()
+        low = n // (n - x + 1)  # min_k(n, x), 0 at x = 0
+        high = max(low, x // 2 + 1)
+        return range(low, x // 2 + 1), range(high + (high - n) % 2, x + 1, 2)
+
+    return SupportSet(n, tuple(map(k_ranges, range(n + 1))))
 
 
 def support_hat_size_formula(n: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from operator import mul, sub
-from typing import NamedTuple
 
 __all__ = [
     "binomial",
@@ -235,10 +234,13 @@ def _bounded(n: int, x: int, k: int, whole: int, free: bool = False) -> int:
     The sum is built upward from its last term, j = min(x // (k+1), g),
     where C(n - j(k+1), m) = C(m + u, u) with u = x - j(k+1) is cheap when
     the bound binds.  Each term is the one after it times an exact ratio,
-    C(n - j(k+1) + k + 1, m) / C(n - j(k+1), m) = C(n - (j-1)(k+1), k+1) /
-    C(x - (j-1)(k+1), k+1), so one cell costs about x // (k+1) such steps
-    and holds only a few numbers at a time.  At x = -1, as a palindromic
-    correction may ask, j is -1 and the count is whole alone.
+    C(n - (j-1)(k+1), m) / C(n - j(k+1), m) = C(n - (j-1)(k+1), k+1) /
+    C(x - (j-1)(k+1), k+1), read by whichever pair has the smaller lower
+    index, min(m, k + 1): with few ones the binomials then have O(m log n)
+    bits where those of lower index k + 1 would have about n.  One cell
+    costs about min(x // (k+1), g) such steps and holds only a few numbers
+    at a time.  At x = -1, as a palindromic correction may ask, j is -1 and
+    the count is whole alone.
     """
     m = n - x
     if not free and x > (m + 1) * k:
@@ -249,9 +251,11 @@ def _bounded(n: int, x: int, k: int, whole: int, free: bool = False) -> int:
         return whole
     term = (-1) ** j * math.comb(g, j) * math.comb(n - j * (k + 1), m)
     total = whole + term
+    low, high = sorted((m, k + 1))
     for j in range(j, 1, -1):
-        term = (-term * j * math.comb(n - (j - 1) * (k + 1), k + 1)
-                // ((g + 1 - j) * math.comb(x - (j - 1) * (k + 1), k + 1)))
+        top = n - (j - 1) * (k + 1)
+        term = (-term * j * math.comb(top, low)
+                // ((g + 1 - j) * math.comb(top - high, low)))
         total += term
     return total
 
@@ -301,30 +305,71 @@ def _F_cell(n: int, x: int, k: int) -> int:
     return _bounded(n, x, k, whole) - _bounded(n, x, k - 1, whole)
 
 
-class SupportSet(NamedTuple):
-    """All (x, k) pairs with a nonzero count for one fixed n: F(n, x, k) > 0
-    from support_set, F_hat(n, x, k) > 0 from palindromic.support_hat_set."""
+class SupportSet:
+    """The pairs (x, k) with a nonzero count at one length n, held as ranges
+    of k per x: F(n, x, k) > 0 from support_set, F_hat(n, x, k) > 0 from
+    palindromic.support_hat_set.  ranges[x], for 0 <= x <= n, is a tuple of
+    disjoint ranges in increasing order, so `in` is a range test, len a sum
+    of range lengths, and iteration yields the pairs in sorted order; none
+    of them builds a pair set.  pairs builds the frozenset of the pairs on
+    each read.  Immutable: setting or deleting an attribute raises
+    AttributeError.  Two supports are equal when n and ranges are.
+    """
 
-    n: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = ("n", "ranges")
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+    def __init__(self, n: int, ranges: tuple[tuple[range, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ranges", ranges)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SupportSet is immutable, cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return SupportSet, (self.n, self.ranges)
+
+    def __repr__(self) -> str:
+        return f"SupportSet(n={self.n!r}, ranges={self.ranges!r})"
+
+    def __eq__(self, other):
+        if type(other) is not SupportSet:
+            return NotImplemented
+        return (self.n, self.ranges) == (other.n, other.ranges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ranges))
+
+    def __contains__(self, pair) -> bool:
+        """pair in self.pairs, without the pairs.  A number equal to an int
+        0 <= i < 2^61 - 1 hashes to i, so hash(x) names the one x-index x
+        can equal, floats and bools included."""
+        hash(pair)  # an unhashable probe raises TypeError, as in a frozenset
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        x, k = pair
+        i, j = hash(x), hash(k)
+        return (i == x and j == k and 0 <= i < len(self.ranges)
+                and any(j in ks for ks in self.ranges[i]))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(len(ks) for row in self.ranges for ks in row)
+
+    def __iter__(self):
+        return ((x, k) for x, row in enumerate(self.ranges) for ks in row for k in ks)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self)
 
 
 def support_set(n: int) -> SupportSet:
-    """Sweep the support: for each x, k runs from min_k(n, x) up to x."""
+    """The support of F at length n, one range of k per x in O(n): k runs
+    from min_k(n, x) = n // (n - x + 1) up to x, and x = 0 has k = 0 alone.
+    Empty for n < 0."""
     require_ints(n)
-    pairs: set[tuple[int, int]] = set()
-    if n >= 0:
-        pairs.add((0, 0))
-        for x in range(1, n + 1):
-            for k in range(min_k(n, x), x + 1):
-                pairs.add((x, k))
-    return SupportSet(n, frozenset(pairs))
+    return SupportSet(n, tuple((range(n // (n - x + 1), x + 1),) for x in range(n + 1)))
 
 
 def support_size_formula(n: int) -> int:

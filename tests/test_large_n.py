@@ -124,6 +124,83 @@ def test_bounded_equals_direct_sum_on_random_cells(cell):
     assert rc._bounded(n, x, k, math.comb(n, x)) == bounded_direct(n, x, k)
 
 
+def F_few_ones(n, x, k):
+    """F(n, x, k) for k >= 1 as A_k - A_(k-1), each the plain sum of
+    bounded_direct: with m = n - x ones every term is one math.comb of lower
+    index m, and no term is read off another."""
+    return bounded_direct(n, x, k) - bounded_direct(n, x, k - 1)
+
+
+def F_hat_few_ones(n, x, k):
+    """F_hat(n, x, k) for k >= 1 from the gaps between the n - x ones.  An
+    odd count has a central one, and the palindrome is its half word twice.
+    An even count 2p leaves p mirrored gaps beside a central gap of c zeros,
+    c = x (mod 2); the palindromes with every run at most k put s = (x - c) / 2
+    zeros into the p gaps, at most k each, for every c <= min(k, x), and
+    inclusion-exclusion over the gaps forced past k, summed over s by the
+    hockey stick sum_(t <= T) C(t + p - 1, p - 1) = C(T + p, p), gives each
+    term as two binomials of lower index p."""
+    ones = n - x
+    if ones % 2:
+        return F_few_ones(n // 2, x // 2, k) if n % 2 else 0
+    p = ones // 2
+
+    def at_most(k):
+        if p == 0:  # the all-zero word
+            return int(x <= k)
+        top = min(k, x) - (min(k, x) - x) % 2  # the largest centre c
+        if top < 0:
+            return 0
+        low, high = (x - top) // 2, x // 2  # the range of s
+
+        def stick(t):
+            return math.comb(t + p, p) if t >= 0 else 0
+
+        return sum((-1) ** j * math.comb(p, j)
+                   * (stick(high - j * (k + 1)) - stick(low - 1 - j * (k + 1)))
+                   for j in range(p + 1))
+
+    return at_most(k) - at_most(k - 1)
+
+
+def few_ones_ks(n, x):
+    """k near each edge of the support and of the closed forms, within 1..x."""
+    edges = {1, 2, x // 9, x // 4, x // 3, x // 2, x}
+    if x < n:
+        edges |= {rc.min_k(n, x), (n // 2) // (n // 2 - x // 2 + 1)}
+    return sorted({e + d for e in edges for d in (-1, 0, 1)} & set(range(1, x + 1)))
+
+
+def test_few_ones_cells_equal_the_plain_sums():
+    # past the dot side, where _bounded steps by the binomials of lower index m
+    for n in (10**4, 30001, 10**5, 10**5 + 1, 10**6, 10**6 + 1):
+        for m in range(9):
+            x = n - m
+            assert not rc._dot_side(n, x) and not rc._dot_side(n // 2, x // 2)
+            for k in few_ones_ks(n, x):
+                assert rc.F(n, x, k) == F_few_ones(n, x, k), (n, x, k)
+                assert pal.F_hat(n, x, k) == F_hat_few_ones(n, x, k), (n, x, k)
+    assert rc.F(10**6, 10**6 - 3, 300000) == F_few_ones(10**6, 10**6 - 3, 300000) == 80002400020
+    assert pal.F_hat(2 * 10**6 + 1, 2 * 10**6 - 5, 300001) == 5001200074
+
+
+def test_few_ones_references_equal_the_kernel_at_small_n():
+    for n in range(1, 41):
+        for x in range(max(n - 8, 0), n + 1):
+            for k in range(1, x + 1):
+                assert F_few_ones(n, x, k) == rc.F(n, x, k), (n, x, k)
+                assert F_hat_few_ones(n, x, k) == F_hat_per_cell(n, x, k), (n, x, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1000, 10**6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(n - 8, n)).flatmap(lambda row: st.tuples(
+        *map(st.just, row), st.integers(1, row[1])))))
+def test_few_ones_cells_equal_the_plain_sums_on_random_cells(cell):
+    assert rc.F(*cell) == F_few_ones(*cell)
+    assert pal.F_hat(*cell) == F_hat_few_ones(*cell)
+
+
 @settings(max_examples=20, deadline=None)
 @given(SMALL_X | LARGE_X | STEPPED)
 def test_row_sums_and_diagonal_on_random_rows(row):
