@@ -6,11 +6,10 @@ zero-run plus one and two words represent the same partition of m exactly
 when their zero-run multisets coincide.  P(n, x, k) below counts those
 multiset classes inside one (n, x, k) word class: a coefficient of a
 Gaussian binomial.  One generator, _gaussian, steps [m+k choose k]_q over k
-and is the only such loop.  P reads a cell from its row in _P_rows whenever
-the row is held.  Otherwise, for x <= _ROW_SIDE, the cell is read from its
-whole row, one pass that the cells of one row share and the only partition
-store; past it, and for P_hat, _box_sum reads the coefficients it needs from
-one uncached pass a call.  P_total reads one pass of its own.  The '+' sign
+and is the only such loop.  P answers from the row store _P_rows, the only
+partition store (see runcount._Rows for the row-or-cell choice); a cell past
+_ROW_SIDE, and P_hat, read the coefficients they need from one uncached
+_box_sum pass a call.  P_total reads one pass of its own.  The '+' sign
 and summand totals are closed forms in the number of compositions, and the
 module reads no F or F_hat: the paper's sums over F are verify's references.
 """
@@ -113,22 +112,16 @@ def P(n: int, x: int, k: int) -> int:
     n - x + 1 parts.  Stripping one part k leaves a partition of x - k into
     at most n - x parts, each at most k: the coefficient of q^(x-k) in the
     Gaussian binomial [n-x+k choose k]_q (Andrews, The Theory of Partitions,
-    ch. 3).  A held row of _P_rows answers any 0 <= k <= x first, before the
-    feasibility and side tests: a warm cell is one dict probe, about 0.2 us
-    against 0.4 us when it routed first.  Otherwise, for x <= _ROW_SIDE, the
-    cell is read from its whole row, built into _P_rows; past it _box_sum
-    computes the one coefficient.  Raises ValueError on non-int arguments.
+    ch. 3).  The cell comes from the row store _P_rows: a held row, or else
+    a whole row for x <= _ROW_SIDE or one _box_sum coefficient alone (see
+    runcount._Rows).  Raises ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
     row = _P_rows.get((n, x))
     if row is not None and 0 <= k <= x:
         return row[k]
-    if not feasible(n, x, k):
-        return 0
-    if x <= _ROW_SIDE:
-        return _P_rows[n, x][k]
-    return _box_sum((x - k,), n - x, k)
+    return _P_rows.route(n, x, k)
 
 
 # Measured with one row sweep against one cold kernel cell: at x = 512 a row
@@ -168,7 +161,7 @@ def _P_row(n: int, x: int) -> tuple[int, ...]:
     return tuple([coeffs[x - k] for k, coeffs in enumerate(passes)])
 
 
-_P_rows = _Rows(_P_row)
+_P_rows = _Rows(_P_row, lambda n, x: x <= _ROW_SIDE, lambda n, x, k: _box_sum((x - k,), n - x, k))
 
 
 def _box_sum(ts, a: int, b: int) -> int:

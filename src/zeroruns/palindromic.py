@@ -7,13 +7,13 @@ central block of length k frees the half A to any run length up to k, and a
 shorter one leaves the longest run k to A.  Every half of one row (n, x) has
 the same ones, so the centres sum in closed form: G_k, the palindromes of one
 row whose zero-runs are all at most k, is two dot products, and the cell of
-longest run k is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  F_hat reads
-its cells from the row store _F_hat_rows, whose rows take every G_k from one
-pair of runcount._binomials, and a held row answers before the side test.
-Past the dot side, _F_hat_cell reads a central one's cell from
-runcount._F_cell, and any other cell as its free centre plus corrections
-stepped with runcount._bounded.  support_hat_set reads the
-support off the same split, and so does compositions.P_hat.
+longest run k is G_k - G_(k-1), as a plain cell is A_k - A_(k-1).  The rows
+of the row store _F_hat_rows take every G_k from one pair of
+runcount._binomials.  A lone cell, _F_hat_cell, reads a central one's cell
+from runcount._F_cell and any other as its free centre plus corrections
+stepped with runcount._bounded (see runcount._Rows for the choice between
+row and cell).  support_hat_set reads the support off the same split, and so
+does compositions.P_hat.
 """
 
 from __future__ import annotations
@@ -37,24 +37,17 @@ __all__ = [
 def F_hat(n: int, x: int, k: int) -> int:
     """Palindromic class count, total on all integer triples.
 
-    A held row of _F_hat_rows answers any 0 <= k <= x first, before the side
-    test, so a row that build_matrix left past the dot side answers too: a
-    warm cell is one dict probe, about 0.2 us against 0.5 us when it routed
-    first.  Otherwise, where the half row (n // 2, x // 2) is on the dot
-    side, the cell is read from its whole row, built into _F_hat_rows, which
-    the cells of one row share; past it, _F_hat_cell steps the cell alone.
-    Raises ValueError on non-int arguments.
+    The cell comes from the row store _F_hat_rows: a held row, or else a
+    whole row where the half row (n // 2, x // 2) is on the dot side, or
+    _F_hat_cell alone (see runcount._Rows).  Raises ValueError on non-int
+    arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
     row = _F_hat_rows.get((n, x))
     if row is not None and 0 <= k <= x:
         return row[k]
-    if not feasible(n, x, k):
-        return 0
-    if _dot_side(n // 2, x // 2):
-        return _F_hat_rows[n, x][k]
-    return _F_hat_cell(n, x, k)
+    return _F_hat_rows.route(n, x, k)
 
 
 def _F_hat_cell(n: int, x: int, k: int) -> int:
@@ -139,7 +132,7 @@ def _F_hat_row(n: int, x: int) -> tuple[int, ...]:
     return (int(x == 0), *map(sub, bounded[1:], bounded), *high)
 
 
-_F_hat_rows = _Rows(_F_hat_row)
+_F_hat_rows = _Rows(_F_hat_row, lambda n, x: _dot_side(n // 2, x // 2), _F_hat_cell)
 
 
 def F_hat_high_k(n: int, x: int, k: int) -> int:

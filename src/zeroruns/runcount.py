@@ -3,8 +3,7 @@
 F(n, x, k) is the number of binary strings of length n containing exactly x
 zeros whose longest block of consecutive zeros has length exactly k.  Every
 result is an exact Python integer; no floating point is used anywhere.
-F reads a cell from its row (n, x) in the row store _F_rows whenever that
-row is held, before any side test, and routes the cell only otherwise.
+F answers from the row store _F_rows (see _Rows for the row-or-cell choice).
 """
 
 from __future__ import annotations
@@ -97,13 +96,13 @@ def F_diagonal(n: int, x: int) -> int:
 
 
 def F_near_diagonal(n: int, x: int) -> int:
-    """F(n, x, x-1) = (n-x)(n-x+1), an oblong number (x >= 3, n >= 3).
+    """F(n, x, x-1) = (n-x)(n-x+1), an oblong number (3 <= x <= n).
 
     The x = 2 case is triangular instead: F(n, 2, 1) = (n-1)(n-2)/2.
     """
     require_ints(n, x)
-    if x < 3 or n < 3:
-        raise ValueError(f"F_near_diagonal needs x >= 3 and n >= 3, got x={x}, n={n}")
+    if not 3 <= x <= n:
+        raise ValueError(f"F_near_diagonal needs 3 <= x <= n, got x={x}, n={n}")
     return (n - x) * (n - x + 1)
 
 
@@ -156,23 +155,35 @@ _ROW_CACHE_BYTES = 32 << 20
 
 
 class _Rows(dict):
-    """The rows build(n, x), tuples of ints, by key (n, x): rows[n, x] builds
-    a missing row and keeps it, holding at most about _ROW_CACHE_BYTES of
-    rows plus one.  A held row is exact on every 0 <= k <= x, zeros on the
-    empty classes included, so F, F_hat and P read rows.get((n, x)) first,
-    whichever side the row is on, and route a cell only when it misses.
+    """The rows build(n, x) of one count, tuples of ints, by key (n, x), and
+    that count's choice between a whole row and a lone cell.
 
-    A hit is a plain dict subscript, with no Python frame.  Only a miss adds
-    its row's estimated bytes to held: an 8-byte tuple slot per entry, 28
-    more per nonzero entry (its int) and one per 8 bits.  A miss that would
-    take held past the budget clears the whole store first.  An LRU in
-    Python would bound the store as well, but it doubles the cost of a warm
-    cell.  clear() also resets held.  held is not locked: a lost update
-    could only misstate it.
+    rows[n, x] builds a missing row and keeps it, holding at most about
+    _ROW_CACHE_BYTES of rows plus one.  A held row is exact on every
+    0 <= k <= x, zeros on the empty classes included, so F, F_hat and P each
+    probe rows.get((n, x)) right after their argument check, and a held row
+    answers whichever side it is on: a row that build_matrix left past the
+    dot side answers too.  The probe is written inline in each count, not
+    here, so a warm cell is one dict probe with no Python frame: about
+    0.2 us, against 0.5 us when it routed first (2 cores, Python 3.11).  A
+    cell the probe misses goes to route, which reads side(n, x), whether a
+    cold cell of the row (n, x) is read from its whole row, and
+    cell(n, x, k), which answers a feasible cell alone: _dot_side and
+    _F_cell for F, _dot_side of the half row (n // 2, x // 2) and
+    _F_hat_cell for F_hat, x <= _ROW_SIDE and one _box_sum coefficient for P.
+
+    Only a miss adds its row's estimated bytes to held: an 8-byte tuple slot
+    per entry, 28 more per nonzero entry (its int) and one per 8 bits.  A
+    miss that would take held past the budget clears the whole store first.
+    An LRU in Python would bound the store as well, but it doubles the cost
+    of a warm cell.  clear() also resets held.  held is not locked: a lost
+    update could only misstate it.
     """
 
-    def __init__(self, build):
+    def __init__(self, build, side, cell):
         self.build = build
+        self.side = side
+        self.cell = cell
         self.held = 0
 
     def __missing__(self, key):
@@ -187,6 +198,16 @@ class _Rows(dict):
     def clear(self):
         super().clear()
         self.held = 0
+
+    def route(self, n: int, x: int, k: int) -> int:
+        """The cell (n, x, k) that no held row answered: 0 on an empty class,
+        which builds no row; otherwise read from its whole row, built into
+        the store and shared by the cells of the row, where side(n, x)
+        holds, and cell(n, x, k) alone past it.  The arguments are ints,
+        checked by the caller."""
+        if not feasible(n, x, k):
+            return 0
+        return self[n, x][k] if self.side(n, x) else self.cell(n, x, k)
 
 
 def _F_row(n: int, x: int) -> tuple[int, ...]:
@@ -214,9 +235,6 @@ def _F_row(n: int, x: int) -> tuple[int, ...]:
     top = max(x // 2, 1)  # the last cell read off the A_k
     high = map(sub, column[top + 1:], column[top + 2:] + [0])
     return (0, bounded[0], *map(sub, bounded[1:], bounded), *map((m + 1).__mul__, high))
-
-
-_F_rows = _Rows(_F_row)
 
 
 def _bounded(n: int, x: int, k: int, whole: int, free: bool = False) -> int:
@@ -265,27 +283,17 @@ def F(n: int, x: int, k: int) -> int:
 
     F(n, x, k) = A_k - A_(k-1), where A_k counts the words with x zeros whose
     zero-runs are all at most k (see _bounded; Schilling, "The Longest Run of
-    Heads", 1990).  A held row of _F_rows answers first, for any
-    0 <= k <= x and before the side test, so a row that build_matrix left
-    past the dot side answers too: a warm cell is one dict probe, about
-    0.2 us against 0.5 us when it routed first (2 cores, Python 3.11).
-    Otherwise, on the dot side (_dot_side) the cell is read from its whole
-    row, built into _F_rows, which the cells of one row share.  Past it
-    _F_cell answers the cell alone, one binomial where the paper's closed
-    forms cover it.  No recursion, so large n is as safe as small n.  The
-    paper's recurrence is a checked identity, not a path.  Raises ValueError
-    on non-int arguments.
+    Heads", 1990).  The cell comes from the row store _F_rows: a held row,
+    or else a whole row on the dot side or _F_cell alone (see _Rows).  No
+    recursion, so large n is as safe as small n.  The paper's recurrence is
+    a checked identity, not a path.  Raises ValueError on non-int arguments.
     """
     if type(n) is not int or type(x) is not int or type(k) is not int:
         raise not_ints(n, x, k)
     row = _F_rows.get((n, x))
     if row is not None and 0 <= k <= x:
         return row[k]
-    if not feasible(n, x, k):
-        return 0
-    if _dot_side(n, x):
-        return _F_rows[n, x][k]
-    return _F_cell(n, x, k)
+    return _F_rows.route(n, x, k)
 
 
 def _F_cell(n: int, x: int, k: int) -> int:
@@ -303,6 +311,9 @@ def _F_cell(n: int, x: int, k: int) -> int:
         return (m + 1) * math.comb(n - k - 1, x - k) if m else 1
     whole = math.comb(n, x)
     return _bounded(n, x, k, whole) - _bounded(n, x, k - 1, whole)
+
+
+_F_rows = _Rows(_F_row, _dot_side, _F_cell)
 
 
 class SupportSet:

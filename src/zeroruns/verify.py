@@ -59,8 +59,19 @@ def _cells(check: Check, name: str, count: Callable[[int, int, int], int],
                 check.fail(f"{name}({n},{x},{k})={got} oracle={expected}")
 
 
-def _verify_plain_oracle(check: Check, max_n: int, cap: int | None) -> None:
+def _lengths(max_n: int, cap: int | None, *kinds: bool) -> range:
+    """The lengths 0..max_n that a check walks, once each has passed the
+    oracle's cap for each of kinds (palindromic or not): a check past the
+    cap then raises the EnumerationLimitError of its first length past it,
+    as a walk up to that length would, and walks none."""
     for n in range(max_n + 1):
+        for palindromic in kinds:
+            oracle.check_cap(n, palindromic, cap)
+    return range(max_n + 1)
+
+
+def _verify_plain_oracle(check: Check, max_n: int, cap: int | None) -> None:
+    for n in _lengths(max_n, cap, False):
         table = oracle.oracle_count(n, cap=cap)
         check.expect(table.total() == 2**n, f"n={n}: oracle total != 2^n")
         sweep = rc.support_set(n).pairs
@@ -192,7 +203,7 @@ def _verify_matrices(check: Check, max_n: int, cap: int | None) -> None:
 
 
 def _verify_palindromic_oracle(check: Check, max_n: int, cap: int | None) -> None:
-    for n in range(max_n + 1):
+    for n in _lengths(max_n, cap, True):
         table = oracle.oracle_count(n, palindromic=True, cap=cap)
         check.expect(table.total() == 2 ** ((n + 1) // 2),
                      f"n={n}: palindromic oracle total")
@@ -338,7 +349,7 @@ def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
 
 
 def _verify_partitions(check: Check, max_n: int, cap: int | None) -> None:
-    for n in range(max_n + 1):
+    for n in _lengths(max_n, cap, False, True):
         table = oracle.oracle_partition_table(n, cap=cap)
         _cells(check, "P", comp.P, n, lambda x, k: table.get((x, k), 0))
         hat_table = oracle.oracle_partition_table(n, palindromic=True, cap=cap)

@@ -135,12 +135,40 @@ def test_two_count_matches_enumeration(m):
     assert comp.two_count_palindromic(m) == twos
 
 
+def diagonal(N):
+    """C(N - j, j) for 0 <= j <= N // 2, each from the one before by two
+    exact one-factor ratio steps: with a = N - j, C(a - 1, j) = C(a, j)
+    (a - j) / a and C(a - 1, j + 1) = C(a - 1, j) (a - 1 - j) / (j + 1)."""
+    cells = [1]
+    for j in range(N // 2):
+        a = N - j
+        cell = cells[-1] * (a - j) // a
+        cells.append(cell * (a - 1 - j) // (j + 1))
+    return cells
+
+
+def walked_column(n):
+    """F_hat(n, x, 1) for 1 <= x <= n at index x (index 0 is not a cell):
+    the palindromes of length n with no "00" and x zeros.  Cell x = 2j + r
+    is C(N - j, j) with N = (n + 1) // 2 - r, the j zeros of a half (a
+    central zero aside) in distinct gaps among its ones, and 0 for odd x at
+    even n; see palindromic._F_hat_cell at k = 1."""
+    column = [0] * (n + 1)
+    for r in (0, 1) if n % 2 else (0,):
+        for j, cell in enumerate(diagonal((n + 1) // 2 - r)):
+            column[2 * j + r] = cell
+    return column
+
+
 def test_two_count_palindromic_equals_its_column_cell_by_cell():
-    # the weighted column sum over the stepped cells F_hat(m - 1, x, 1),
-    # 20-30 s, nearly all in math.comb
+    # the weighted column sum of F_hat(m - 1, x, 1) over x, its cells walked
+    # down each diagonal of binomials (one math.comb per cell takes 20-30 s)
+    # and held to the stepped cells of _F_hat_cell while m < 400
     for m in range(2, 3000):
-        column = sum(x * pal._F_hat_cell(m - 1, x, 1) for x in range(1, m))
-        assert comp.two_count_palindromic(m) == column, m
+        column = walked_column(m - 1)
+        if m < 400:
+            assert column[1:] == [pal._F_hat_cell(m - 1, x, 1) for x in range(1, m)], m
+        assert comp.two_count_palindromic(m) == sum(x * c for x, c in enumerate(column)), m
 
 
 def test_P_golden_values():

@@ -58,6 +58,10 @@ def test_F_near_diagonal():
     assert rc.F_near_diagonal(7, 4) == 12
     with pytest.raises(ValueError):
         rc.F_near_diagonal(6, 2)
+    for n, x in ((3, 5), (4, 7), (10, 13), (3, 4)):  # empty classes: F(n, x, x - 1) == 0
+        assert rc.F(n, x, x - 1) == 0
+        with pytest.raises(ValueError, match="3 <= x <= n"):
+            rc.F_near_diagonal(n, x)
 
 
 def test_F_closed_high_k():

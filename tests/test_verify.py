@@ -3,7 +3,7 @@ compares is off by one at a single length."""
 
 import pytest
 
-from zeroruns import compositions as comp, sequences as seq, verify
+from zeroruns import compositions as comp, oracle, sequences as seq, verify
 
 
 def run_check(suite, name, max_n=8):
@@ -45,3 +45,22 @@ def test_composition_statistics_fail_on_a_wrong_value(monkeypatch, module, name,
     assert check.status == "FAIL"
     assert [message.split(":")[0] for message in check.failures] == [
         f"{what} m=5 pal={pal}" for pal in (False, True) for what in failing]
+
+
+@pytest.mark.parametrize("walk, palindromic", [
+    (verify._verify_plain_oracle, False),
+    (verify._verify_palindromic_oracle, True),
+    (verify._verify_partitions, False),  # its plain tables reach the cap first
+])
+@pytest.mark.parametrize("cap", [4, None])
+def test_checks_past_the_cap_walk_no_length(monkeypatch, walk, palindromic, cap):
+    def walked(n, palindromic):
+        raise AssertionError(f"walked length {n} before the cap was checked")
+
+    monkeypatch.setattr(oracle, "_tally", walked)
+    limit = cap if cap is not None else (
+        oracle.DEFAULT_PALINDROMIC_CAP if palindromic else oracle.DEFAULT_PLAIN_CAP)
+    # the error names the first length past the cap, as a walk up to it did
+    with pytest.raises(oracle.EnumerationLimitError,
+                       match=f"^length {limit + 1} exceeds the enumeration cap {limit}$"):
+        walk(verify.Check("past the cap"), limit + 5, cap)

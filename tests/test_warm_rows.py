@@ -4,7 +4,9 @@ F, F_hat and P probe their row store right after the argument check, and a
 held row answers every 0 <= k <= x before any side test or kernel runs.
 These tests hold that probe to the routed answer: a held row is exact on
 every cell it covers, zeros included, and a cell it does not cover, k < 0 or
-k > x, still goes the cold way.
+k > x, still goes the cold way.  A miss is routed by its store
+(runcount._Rows.route): an empty class or a lone cell past the store's side
+builds no row, and a lone cell on the row side builds its own row alone.
 """
 
 import functools
@@ -90,9 +92,26 @@ def test_warm_reads_route_nothing(monkeypatch):
                           (comp, ("feasible", "_box_sum"))):
         for name in names:
             monkeypatch.setattr(module, name, raises)
+    monkeypatch.setattr(rc._Rows, "route", raises)
     for store in STORES.values():
-        monkeypatch.setattr(store, "build", raises)
+        for name in ("build", "side", "cell"):
+            monkeypatch.setattr(store, name, raises)
     assert [[f(n, x, k) for k in range(x + 1)] for f, n, x in WARM_ROWS] == first
+
+
+# a lone cell past each store's side
+PAST_SIDE = {rc.F: (10**5, 5 * 10**4, 40000), pal.F_hat: (20001, 10001, 1201),
+              comp.P: (4600, 3000, 3)}
+
+
+@pytest.mark.parametrize("f", STORES, ids=lambda f: f.__name__)
+def test_lone_cells_hold_no_row_but_their_own_on_the_row_side(f):
+    for cell, held in ((PAST_SIDE[f], []), ((300, 150, 0), []),
+                       ((300, 150, 3), [(300, 150)])):
+        clear_stores()
+        assert (f(*cell) > 0) == (cell[2] > 0), cell
+        assert [list(store) for store in STORES.values()] == [
+            held if g is f else [] for g in STORES], cell
 
 
 # a few rows of each count: n = x, x = 0, odd and even n and x, and for
