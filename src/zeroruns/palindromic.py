@@ -12,8 +12,8 @@ of the row store _F_hat_rows take every G_k from one pair of
 runcount._binomials.  A lone cell, _F_hat_cell, reads a central one's cell
 from runcount._F_cell and any other as its free centre plus corrections
 stepped with runcount._bounded (see runcount._Rows for the choice between
-row and cell).  support_hat_set reads the support off the same split, and so
-does compositions.P_hat.
+row and cell).  runcount.SupportSet.ranges reads support_hat_set off the
+same split, and so does compositions.P_hat.
 """
 
 from __future__ import annotations
@@ -157,14 +157,10 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
     it requires x + q - 1 <= n when k | x and x + q <= n otherwise, which
     accepts e.g. (4, 1, 1) although no length-4 palindrome has a single zero.
 
-    The inequality is plain feasibility, x + ceil(x/k) - 1 <= n.  Read off
-    the centre split (see the module docstring), the class is non-empty iff
-    it holds and a parity term does (support_hat_set reads it per x):
-    x = n needs k = n; odd n with even x needs feasible((n-1)/2, x/2, k);
-    otherwise x = n (mod 2) is required, and k = n (mod 2) suffices; else,
-    with c* the largest c <= min(k-1, x-2k) of the parity of n, it needs
-    c* >= 0 and ceil((x-c*)/(2k)) <= (n-x)/2.  The last holds whenever the
-    inequality and c* >= 0 do, so the parity term reduces to x >= 2k there.
+    The inequality is plain feasibility, x + ceil(x/k) - 1 <= n.  The
+    corrected criterion adds the parity term that the centre split (see the
+    module docstring) reads off: runcount.SupportSet.ranges states it, as
+    the ranges of k of each x of support_hat_set.
     """
     require_ints(n, x, k)
     if n < 1 or x < 1 or k < 1:
@@ -174,30 +170,11 @@ def lemma_positivity_hat(n: int, x: int, k: int) -> bool:
 
 
 def support_hat_set(n: int) -> SupportSet:
-    """The pairs 0 <= k <= x <= n whose palindromic class is non-empty, by
-    the criterion of lemma_positivity_hat's docstring, as the ranges of k
-    of each x, built in O(n).  Odd n with even x takes the one feasible
-    range of its half row (n // 2, x // 2).  Otherwise x = n (mod 2) is
-    required, and k runs from min_k(n, x), keeping k = n (mod 2), where a
-    central block 0^k leaves a half of (x - k)/2 zeros in M = (n - x)/2 runs
-    of at most k, which fits iff (n, x, k) is feasible, and 2k <= x, where
-    the largest shorter centre c = min(k - 1, x - 2k) of the parity of n
-    leaves the run k to its half: range(min_k(n, x), x // 2 + 1) and a
-    step-2 range of the k = n (mod 2) above it.  x = 0 has k = 0 alone, and
-    n < 0 no pair."""
-    require_ints(n)
-    h = n // 2
-
-    def k_ranges(x: int) -> tuple[range, ...]:
-        if n % 2 and x % 2 == 0:  # from min_k(h, x // 2), 0 at x = 0
-            return (range(h // (h - x // 2 + 1), x // 2 + 1),)
-        if (n - x) % 2:
-            return ()
-        low = n // (n - x + 1)  # min_k(n, x), 0 at x = 0
-        high = max(low, x // 2 + 1)
-        return range(low, x // 2 + 1), range(high + (high - n) % 2, x + 1, 2)
-
-    return SupportSet(n, tuple(map(k_ranges, range(n + 1))))
+    """The pairs 0 <= k <= x <= n whose palindromic class is non-empty,
+    SupportSet(n, True): the ranges of k of each x are read off the
+    corrected positivity criterion, which SupportSet.ranges states, on each
+    use.  x = 0 has k = 0 alone, and n < 0 no pair."""
+    return SupportSet(n, True)
 
 
 def support_hat_size_formula(n: int) -> int:

@@ -317,40 +317,64 @@ _F_rows = _Rows(_F_row, _dot_side, _F_cell)
 
 
 class SupportSet:
-    """The pairs (x, k) with a nonzero count at one length n, held as ranges
-    of k per x: F(n, x, k) > 0 from support_set, F_hat(n, x, k) > 0 from
-    palindromic.support_hat_set.  ranges[x], for 0 <= x <= n, is a tuple of
-    disjoint ranges in increasing order, so `in` is a range test, len a sum
-    of range lengths, and iteration yields the pairs in sorted order; none
-    of them builds a pair set.  pairs builds the frozenset of the pairs on
-    each read.  Immutable: setting or deleting an attribute raises
-    AttributeError.  Two supports are equal when n and ranges are.
+    """The pairs (x, k) with a nonzero count at one length n: F(n, x, k) > 0,
+    or F_hat(n, x, k) > 0 when palindromic.  Only n and the kind are held,
+    and ranges(x) reads the k of one x off the kind's rule, so `in` is a
+    range test, len a sum of range lengths, and iteration yields the pairs
+    in sorted order; none of them keeps any state per x or builds a pair
+    set.  pairs builds the frozenset of the pairs on each read.  n and
+    palindromic are read-only, and two supports are equal when both are.
+    Raises ValueError unless n is an int and palindromic a bool.
     """
 
-    __slots__ = ("n", "ranges")
+    __slots__ = ("_n", "_palindromic")
 
-    def __init__(self, n: int, ranges: tuple[tuple[range, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ranges", ranges)
+    def __init__(self, n: int, palindromic: bool = False):
+        require_ints(n)
+        if type(palindromic) is not bool:
+            raise ValueError(f"palindromic must be a bool, got {palindromic!r}")
+        self._n, self._palindromic = n, palindromic
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"SupportSet is immutable, cannot change {name!r}")
+    n = property(lambda self: self._n)
+    palindromic = property(lambda self: self._palindromic)
 
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return SupportSet, (self.n, self.ranges)
+    def ranges(self, x: int) -> tuple[range, ...]:
+        """The disjoint ranges, in increasing order, of the k with (x, k) in
+        the support; none for x outside 0..n.  Plain, k runs from
+        min_k(n, x) = n // (n - x + 1) up to x, and x = 0 has k = 0 alone.
+        Palindromic, a class is non-empty iff it is feasible and a parity
+        term holds, which palindromic.lemma_positivity_hat's printed
+        inequality lacks.  Odd n with even x has a central one, and reads
+        the plain rule of its half row (n // 2, x // 2).  Otherwise
+        x = n (mod 2) is required, and k runs from min_k(n, x), keeping
+        k = n (mod 2), where a central block 0^k leaves a half of (x - k)/2
+        zeros in (n - x)/2 runs of at most k, which fits iff (n, x, k) is
+        feasible, and 2k <= x, where the largest shorter centre
+        c = min(k - 1, x - 2k) of the parity of n leaves the run k to its
+        half, which fits whenever (n, x, k) is feasible and c >= 0:
+        range(min_k(n, x), x // 2 + 1) and a step-2 range of the
+        k = n (mod 2) above it."""
+        n, palindromic = self._n, self._palindromic
+        if palindromic and n % 2 and x % 2 == 0:
+            return SupportSet(n // 2).ranges(x // 2)
+        if not 0 <= x <= n or palindromic and (n - x) % 2:
+            return ()
+        low = n // (n - x + 1)  # min_k(n, x), 0 at x = 0
+        if not palindromic:
+            return (range(low, x + 1),)
+        high = max(low, x // 2 + 1)
+        return range(low, x // 2 + 1), range(high + (high - n) % 2, x + 1, 2)
 
     def __repr__(self) -> str:
-        return f"SupportSet(n={self.n!r}, ranges={self.ranges!r})"
+        return f"SupportSet(n={self._n!r}, palindromic={self._palindromic!r})"
 
     def __eq__(self, other):
         if type(other) is not SupportSet:
             return NotImplemented
-        return (self.n, self.ranges) == (other.n, other.ranges)
+        return (self._n, self._palindromic) == (other._n, other._palindromic)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.ranges))
+        return hash((self._n, self._palindromic))
 
     def __contains__(self, pair) -> bool:
         """pair in self.pairs, without the pairs.  A number equal to an int
@@ -361,14 +385,13 @@ class SupportSet:
             return False
         x, k = pair
         i, j = hash(x), hash(k)
-        return (i == x and j == k and 0 <= i < len(self.ranges)
-                and any(j in ks for ks in self.ranges[i]))
+        return i == x and j == k and any(j in ks for ks in self.ranges(i))
 
     def __len__(self) -> int:
-        return sum(len(ks) for row in self.ranges for ks in row)
+        return sum(len(ks) for x in range(self._n + 1) for ks in self.ranges(x))
 
     def __iter__(self):
-        return ((x, k) for x, row in enumerate(self.ranges) for ks in row for k in ks)
+        return ((x, k) for x in range(self._n + 1) for ks in self.ranges(x) for k in ks)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -376,11 +399,9 @@ class SupportSet:
 
 
 def support_set(n: int) -> SupportSet:
-    """The support of F at length n, one range of k per x in O(n): k runs
-    from min_k(n, x) = n // (n - x + 1) up to x, and x = 0 has k = 0 alone.
-    Empty for n < 0."""
-    require_ints(n)
-    return SupportSet(n, tuple((range(n // (n - x + 1), x + 1),) for x in range(n + 1)))
+    """The support of F at length n, SupportSet(n): one range of k per x,
+    read off its rule on each use.  Empty for n < 0."""
+    return SupportSet(n)
 
 
 def support_size_formula(n: int) -> int:

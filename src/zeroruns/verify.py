@@ -158,9 +158,9 @@ def _zeros_by_F(n: int, palindromic: bool) -> int:
 
 
 def _verify_runs(check: Check, max_n: int, cap: int | None) -> None:
-    oracle.check_cap(max_n, False, cap)
+    lengths = _lengths(max_n, cap, False)[1:]
     for r in range(2, 7):
-        for n in range(1, max_n + 1):
+        for n in lengths:
             t_rec = seq.T(r, n)
             t_idn = _run_avoiding_by_F(r, n, False)
             t_orc = oracle.oracle_T(r, n, cap=cap)
@@ -310,12 +310,11 @@ def _verify_column_sum_lists(check: Check, max_n: int, cap: int | None) -> None:
 
 
 def _verify_compositions(check: Check, max_n: int, cap: int | None) -> None:
-    oracle.check_cap(max_n, False, cap)  # words of length m - 1 <= max_n
-    for m in range(1, max_n + 2):
+    for n in _lengths(max_n, cap, False, True):
         # A word of length n = m - 1 in class (x, k) maps to a composition
         # with largest summand k + 1 and n - x + 1 summands; when k <= 1,
         # each zero is a summand 2.
-        n = m - 1
+        m = n + 1
         for palindromic in (False, True):
             direct = [0] * m
             signs = summands = twos = 0

@@ -108,8 +108,19 @@ def test_F_hat_high_k_agrees_on_window(n):
 def test_F_hat_high_k_equals_lone_stepped_cells(n, x):
     # past the dot side: the half row (15000, 7500) steps
     assert not rc._dot_side(n // 2, x // 2)
-    for k in range(x // 2 + 1, x + 1):
-        assert pal.F_hat_high_k(n, x, k) == pal._F_hat_cell(n, x, k), (n, x, k)
+    # the closed form C((n - k - 2)/2, (x - k)/2) at k = n (mod 2), walked
+    # down from C(., 0) = 1 at k = x by C(a + 1, b + 1) = C(a, b) (a + 1) / (b + 1),
+    # and 0 at the other k: every stepped cell of the window against it
+    window = range(x // 2 + 1, x + 1)
+    closed, cell = {}, 1
+    for k in range(x, x // 2, -2):
+        closed[k] = cell
+        cell = cell * ((n - k) // 2) // ((x - k) // 2 + 1)
+    cells = {k: pal._F_hat_cell(n, x, k) for k in window}
+    assert cells == {k: closed.get(k, 0) for k in window}
+    # F_hat_high_k against the cells at both ends of the window and a stride between
+    for k in {*window[:64], *window[-64:], *window[::97]}:
+        assert pal.F_hat_high_k(n, x, k) == cells[k], (n, x, k)
 
 
 def test_lemma_positivity_hat_examples():

@@ -1,10 +1,12 @@
-"""SupportSet, the supports held as ranges of k per x, against the pair
-sets of a sweep that tests each pair on its own, with no ranges: its pairs,
-size and order, and `in` on any probe, matched against `in` on the frozenset.
+"""SupportSet, the supports read as ranges of k per x off their rule, against
+the pair sets of a sweep that tests each pair on its own, with no ranges: its
+ranges, pairs, size and order, and `in` on any probe, matched against `in` on
+the frozenset.
 """
 
 import copy
 import pickle
+import tracemalloc
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -21,8 +23,8 @@ Pair = namedtuple("Pair", "x k")
 
 def swept_pairs(n, kind):
     """The support as a frozenset, one test per pair: the least feasible
-    length x + ceil(x / k) - 1 of F, and for palindromes the parity rule of
-    lemma_positivity_hat's docstring (odd n with even x reads its half
+    length x + ceil(x / k) - 1 of F, and for palindromes the parity rule of the
+    SupportSet.ranges docstring (odd n with even x reads its half
     row; otherwise x = n (mod 2), and k = n (mod 2) or 2k <= x)."""
     def feasible(n, x, k):
         return x == k == 0 or 1 <= k <= x <= n and x + -(-x // k) - 1 <= n
@@ -42,6 +44,9 @@ def check_against_sweep(n, kind):
     assert support.pairs == want, (n, kind)
     assert len(support) == len(want), (n, kind)
     assert list(support) == sorted(want), (n, kind)
+    # x by x, out of 0..n too, the ranges list the swept k in order
+    assert [(x, k) for x in range(-2, n + 3) for ks in support.ranges(x) for k in ks] \
+        == sorted(want), (n, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -120,16 +125,41 @@ def test_a_support_is_an_immutable_value(kind):
     assert support != KINDS[kind](8) and support != support.pairs
     for other in (pickle.loads(pickle.dumps(support)), copy.copy(support), copy.deepcopy(support)):
         assert other == support and other.pairs == support.pairs
-    assert repr(support).startswith("SupportSet(n=7, ranges=((range(0, 1),")
-    for field in ("n", "ranges", "pairs", "other"):
+    assert repr(support) == f"SupportSet(n=7, palindromic={kind == 'palindromic'})"
+    for field in ("n", "palindromic", "ranges", "pairs", "other"):
         with pytest.raises(AttributeError):
             setattr(support, field, None)
     with pytest.raises(AttributeError):
         del support.n
+    # the empty supports of negative n are equal within a kind, not across
+    for n in (-2, -1):
+        assert KINDS[kind](n) == KINDS[kind](n) and len(KINDS[kind](n)) == 0
+        assert rc.support_set(n) != pal.support_hat_set(n)
+
+
+@pytest.mark.parametrize("args", [(5.0,), (True,), ("5",), (5, 1), (5, None),
+                                  (5, ((range(0, 1),),))])
+def test_a_support_checks_its_arguments(args):
+    # n an int and the kind a bool: a tuple of ranges in place of the kind fails
+    with pytest.raises(ValueError, match="^arguments must be int, got" if len(args) == 1
+                       else "^palindromic must be a bool, got"):
+        rc.SupportSet(*args)
+    assert rc.SupportSet(5) == rc.support_set(5) and rc.SupportSet(5, True) == pal.support_hat_set(5)
 
 
 def test_a_large_support_answers_without_its_pairs():
     n = 10**5
+    tracemalloc.start()
+    try:
+        build_size_and_probe(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # only n and the kind are held, nothing per x
+    assert peak < 2**20, peak
+
+
+def build_size_and_probe(n):
     plain, hat = rc.support_set(n), pal.support_hat_set(n + 1)
     assert len(plain) == rc.support_size_formula(n)
     assert len(hat) == pal.support_hat_size_formula(n + 1)
@@ -139,4 +169,3 @@ def test_a_large_support_answers_without_its_pairs():
     # odd n + 1 with even x reads the half row; odd x keeps k = n + 1 (mod 2) past x // 2
     assert (x, x // 2) in hat and (x, x // 2 + 1) not in hat
     assert (x + 1, x // 2 + 1) in hat and (x + 1, x // 2 + 2) not in hat
-    assert len(plain.ranges) == n + 1 and len(hat.ranges) == n + 2

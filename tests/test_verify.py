@@ -51,6 +51,8 @@ def test_composition_statistics_fail_on_a_wrong_value(monkeypatch, module, name,
     (verify._verify_plain_oracle, False),
     (verify._verify_palindromic_oracle, True),
     (verify._verify_partitions, False),  # its plain tables reach the cap first
+    (verify._verify_runs, False),
+    (verify._verify_compositions, False),  # as _verify_partitions
 ])
 @pytest.mark.parametrize("cap", [4, None])
 def test_checks_past_the_cap_walk_no_length(monkeypatch, walk, palindromic, cap):
