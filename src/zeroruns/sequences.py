@@ -67,6 +67,41 @@ def _x_powers_mod(poly: list[int], n: int):
         rem = _mod([0] + rem, poly)
 
 
+def _o_by_t(r: int) -> tuple[int, list[int], list[int]]:
+    """Integers d > 0, a and b with d O(r, n) = sum (a_j + n b_j) T(r, n + j)
+    over 0 <= j < r, for every n >= 0 (r >= 1).
+
+    c(x) = x^r - x^(r-1) - ... - 1 is squarefree and annihilates T from
+    n = 0 with T in lowest terms, so the shifts T(n + j) and n T(n + j),
+    j < r, span the sequences that c(x)^2 annihilates, O among them
+    (O(z) = z T(z)^2; Schilling 1990).  The 2r equations at n = 0..2r-1 over
+    the stepped head terms fix the coefficients; they are solved by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968), whose last
+    pivot is the determinant, and back substitution of the determinant
+    times each unknown, an integer by Cramer's rule.
+    """
+    t = list(_run_terms(r, 1, range(3 * r - 1)))
+    o = list(_run_terms(r, 2, range(2 * r)))
+    size = 2 * r
+    rows = [[t[n + j] for j in range(r)] + [n * t[n + j] for j in range(r)] + [o[n]]
+            for n in range(size)]
+    prev = 1
+    for k in range(size):
+        i = next(i for i in range(k, size) if rows[i][k])
+        rows[k], rows[i] = rows[i], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            row[:] = [(pivot[k] * u - row[k] * v) // prev for u, v in zip(row, pivot)]
+        prev = pivot[k]
+    det, x = prev, [0] * size
+    for k in range(size - 1, -1, -1):
+        row = rows[k]
+        x[k] = (det * row[-1] - sum(map(mul, row[k + 1:size], x[k + 1:]))) // row[k]
+    if det < 0:
+        det, x = -det, [-v for v in x]
+    return det, x[:r], x[r:]
+
+
 def _run_terms(r: int, power: int, ns: range):
     """T(r, n) (power 1) or O(r, n) (power 2) for each n in ns; n >= 0, r >= 0.
 
@@ -83,16 +118,19 @@ def _run_terms(r: int, power: int, ns: range):
     Longest Run of Heads", 1990): a step is a few additions of numbers of at
     most n bits, so reaching n costs about n^2 bit operations.
 
-    A far start, 4 * ns.start > power * r^4 + 256 r, is jumped to instead.
-    c(x) = x^r - x^(r-1) - ... - 1 annihilates T, and c(x)^2 both T and O,
-    from s = 0, so term s is the dot product of the first d = power * r terms
-    with x^s mod c^power (see _x_powers_mod): about d^2 log2(s) products of
-    s-bit numbers.  The windows at ns.start take r + 1 such remainders, or
-    as many as the range has terms, and stepping goes on from there.  The
+    A far start, 4 * ns.start > r^4 + 256 r, is jumped to instead, for both
+    counts.  c(x) = x^r - x^(r-1) - ... - 1 annihilates T from s = 0, so
+    T(s) is the dot product of its first r terms with x^s mod c (see
+    _x_powers_mod): about r^2 log2(s) products of s-bit numbers.  T's window
+    at ns.start takes r + 1 such remainders, or as many as the range has
+    terms.  O's window takes r - 1 more, and reads each O(n) off the r
+    terms T(n..n+r-1) by the identity of _o_by_t, two dot products with
+    small integers and one exact division; stepping goes on from there.  The
     rule is the measured crossover: r^4 for the squarings at large r, 256 r
     for the fixed cost of a jump at small r.  Over 1 <= r <= 40 and
-    32 <= n <= 1.3 * 10^5 it chose within 1.4 times the faster path (single
-    terms, 2 cores, Python 3.11).
+    32 <= n <= 1.3 * 10^5 it chose within 1.4 times the faster path for T,
+    and for O within 1.3 times just past the first far n at r = 2..5, 8, 13
+    and 20 (single terms, 2 cores, Python 3.11).
     """
     r = min(r, ns.stop)
     if r == 0:
@@ -105,15 +143,18 @@ def _run_terms(r: int, power: int, ns: range):
         yield from map(heads[-1], ns)
         return
     first = 0  # the index of each window's oldest term
-    if 4 * ns.start > power * r**4 + 256 * r:
+    if 4 * ns.start > r**4 + 256 * r:
         first = ns.start
-        c = [-1] * r + [1]
-        inits = [list(_run_terms(r, p, range(power * r))) for p in range(1, power + 1)]
-        windows = [deque(maxlen=r + 1) for _ in inits]
-        for rem in islice(_x_powers_mod(_square(c) if power == 2 else c, first),
-                          min(len(ns), r + 1)):
-            for window, init in zip(windows, inits):
-                window.append(sum(map(mul, rem, init)))
+        init = list(map(heads[0], range(r)))
+        width = min(len(ns), r + 1)
+        ts = [sum(map(mul, rem, init)) for rem in
+              islice(_x_powers_mod([-1] * r + [1], first), width + (power - 1) * (r - 1))]
+        windows = [deque(ts[:width], maxlen=r + 1)]
+        if power == 2:
+            d, a, b = _o_by_t(r)
+            shifts = [ts[i:i + r] for i in range(width)]
+            windows.append(deque([(sum(map(mul, a, ti)) + n * sum(map(mul, b, ti))) // d
+                                  for n, ti in enumerate(shifts, first)], maxlen=r + 1))
     else:
         windows = [deque(map(head, range(r + 1)), maxlen=r + 1) for head in heads]
     t, out = windows[0], windows[-1]
@@ -149,9 +190,10 @@ def T(r: int, n: int) -> int:
 def O(r: int, n: int) -> int:
     """Total zeros over all length-n words with no r consecutive ones, by the
     recurrence of _run_terms, which follows from the paper's
-    O(r, n) = sum O(r, n-i) + T(r, n) over 1 <= i <= r.  The sum of the
-    per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1 is verify's
-    reference for it."""
+    O(r, n) = sum O(r, n-i) + T(r, n) over 1 <= i <= r; a far n is read off
+    the r terms T(r, n..n+r-1) that T's jump gives (see _o_by_t).  The sum
+    of the per-class one totals (n - x) F(n, x, k) over 0 <= k <= r-1 is
+    verify's reference for it."""
     require_ints(r, n)
     return _run_counts("O", r, range(n, n + 1))[0]
 

@@ -1,6 +1,9 @@
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeroruns import compositions as comp, oracle, sequences as seq
 from zeroruns.palindromic import F_hat
@@ -63,45 +66,84 @@ def list_recurrence(r, n):
 
 
 # The first n that _run_terms jumps to by square-and-multiply instead of
-# stepping, 4 n > p r^4 + 256 r with p = 1 for T and 2 for O:
-#   r    2    3    4    5     6     7     8    13      40
-#   T  133  213  321  477   709  1049  1537  7973  642561
-#   O  137  233  385  633  1033  1649  2561 15113 1282561
-FIRST_FAR = {2: (133, 137), 3: (213, 233), 4: (321, 385), 5: (477, 633),
-             6: (709, 1033), 7: (1049, 1649), 8: (1537, 2561), 13: (7973, 15113)}
+# stepping, 4 n > r^4 + 256 r, for T and O alike:
+#   r      2    3    4    5    6     7     8    13      40
+#   n    133  213  321  477  709  1049  1537  7973  642561
+FIRST_FAR = {2: 133, 3: 213, 4: 321, 5: 477, 6: 709, 7: 1049, 8: 1537, 13: 7973}
+
+
+@contextmanager
+def jumps_recorded():
+    """The n of every jump that _run_terms makes while the block runs."""
+    jumps = []
+    jump = seq._x_powers_mod
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seq, "_x_powers_mod", lambda poly, n: jumps.append(n) or jump(poly, n))
+        yield jumps
 
 
 @pytest.mark.parametrize("r", sorted(FIRST_FAR))
-def test_first_far_n(r, monkeypatch):
-    jumps = []
-    jump = seq._x_powers_mod
-
-    def spy(poly, n):
-        jumps.append(n)
-        return jump(poly, n)
-
-    monkeypatch.setattr(seq, "_x_powers_mod", spy)
-    for power, m in enumerate(FIRST_FAR[r], 1):
-        for n in (m - 1, m):
-            list(seq._run_terms(r, power, range(n, n + 1)))
-    assert jumps == list(FIRST_FAR[r])
+def test_first_far_n(r):
+    m = FIRST_FAR[r]
+    with jumps_recorded() as jumps:
+        for power in (1, 2):
+            for n in (m - 1, m):
+                list(seq._run_terms(r, power, range(n, n + 1)))
+    assert jumps == [m, m]
 
 
-def test_zero_sequence_never_jumps(monkeypatch):
+def stepped_from_0(r, power, stop):
+    """The terms at 0 .. stop - 1 from one range, which must never jump."""
+    with jumps_recorded() as jumps:
+        terms = list(seq._run_terms(r, power, range(stop)))
+    assert jumps == []
+    return terms
+
+
+@pytest.mark.parametrize("r", range(2, 14))
+def test_far_windows_equal_stepping(r):
+    # windows from the jump, read off T by the identity for O, that end
+    # inside the first window (1, r terms), fill it (r + 1) or step on from it
+    m = (r**4 + 256 * r) // 4 + 1  # the first far n
+    starts, counts = (m - 1, m, m + 1, m + 2 * r + 7, 3 * m), (1, r, r + 1, r + 2)
+    for power in (1, 2):
+        stepped = stepped_from_0(r, power, 3 * m + r + 2)
+        for start in starts:
+            for count in counts:
+                far = list(seq._run_terms(r, power, range(start, start + count)))
+                assert far == stepped[start:start + count], (power, start, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(0, 5000), st.integers(1, 2 * r + 3))))
+@example((2, 133, 7))
+@example((10, 3141, 23))
+def test_far_windows_equal_stepping_anywhere(case):
+    r, start, count = case
+    for power in (1, 2):
+        far = list(seq._run_terms(r, power, range(start, start + count)))
+        assert far == stepped_from_0(r, power, start + count)[start:], power
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_O_is_read_off_T_by_the_identity(r):
+    # against the dense r-term recurrences, which share no code with the kernel
+    t, o = list_recurrence(r, 300 + r)
+    d, a, b = seq._o_by_t(r)
+    assert d > 0 and len(a) == len(b) == r
+    for n in range(300):
+        assert d * o[n] == sum((a[j] + n * b[j]) * t[n + j] for j in range(r)), n
+
+
+def test_zero_sequence_never_jumps():
     # B_(-1), read by the k = 0 column sums, is all zeros: no start is far
-    jumps = []
-    jump = seq._x_powers_mod
-
-    def spy(poly, n):
-        jumps.append(n)
-        return jump(poly, n)
-
-    monkeypatch.setattr(seq, "_x_powers_mod", spy)
     ns = range(2, 51)
-    assert [seq.column_sum(n, 0) for n in ns] == [column_sum_by_F(n, 0) for n in ns]
-    assert [seq.palindromic_column_sum(n, 0) for n in ns] == [
-        palindromic_column_sum_by_F_hat(n, 0) for n in ns]
-    assert list(seq._run_terms(0, 2, range(100, 105))) == [0] * 5
+    with jumps_recorded() as jumps:
+        assert [seq.column_sum(n, 0) for n in ns] == [column_sum_by_F(n, 0) for n in ns]
+        assert [seq.palindromic_column_sum(n, 0) for n in ns] == [
+            palindromic_column_sum_by_F_hat(n, 0) for n in ns]
+        assert list(seq._run_terms(0, 2, range(100, 105))) == [0] * 5
     assert jumps == []
 
 
@@ -109,15 +151,16 @@ def test_zero_sequence_never_jumps(monkeypatch):
 def test_T_and_O_match_list_recurrence(r):
     # covers n < r, n = r, n < 2r, and each side of the first far n
     t, o = list_recurrence(r, 2600)
-    ns = [*range(1, 401), *(m + i for m in FIRST_FAR[r] for i in (-1, 0, 1)), 2600]
+    ns = [*range(1, 401), *(FIRST_FAR[r] + i for i in (-1, 0, 1)), 2600]
     assert [seq.T(r, n) for n in ns] == [t[n] for n in ns]
     assert [seq.O(r, n) for n in ns] == [o[n] for n in ns]
 
 
-# r = 13 on each side of its first far n; r = 40 would first jump at
-# n = 642561, beyond the reach of list_recurrence, so it is stepped here
+# r = 13 on each side of its first far n and past it; r = 40 would first
+# jump at n = 642561, beyond the reach of list_recurrence, so it is stepped
 @pytest.mark.parametrize("r, n", [(40, 45), (40, 79), (40, 80), (40, 300), (40, 1500),
-                                  (13, 7972), (13, 7973), (13, 15112), (13, 15113)])
+                                  (13, 7972), (13, 7973), (13, 7974), (13, 15112),
+                                  (13, 15113)])
 def test_T_and_O_match_list_recurrence_at_large_r(r, n):
     t, o = list_recurrence(r, n)
     assert seq.T(r, n) == t[n]
