@@ -9,9 +9,11 @@ Gaussian binomial.  One generator, _gaussian, steps [m+k choose k]_q over k
 and is the only such loop.  P answers from the row store _P_rows, the only
 partition store (see runcount._Rows for the row-or-cell choice); a cell past
 _ROW_SIDE, and P_hat, read the coefficients they need from one uncached
-_box_sum pass a call.  P_total reads one pass of its own.  The '+' sign
-and summand totals are closed forms in the number of compositions, and the
-module reads no F or F_hat: the paper's sums over F are verify's references.
+_box_sum pass a call.  The totals P_total, P_hat_total and partition_function
+read one pentagonal list, _partition_numbers, and no Gaussian pass.  The '+'
+sign and summand totals are closed forms in the number of compositions, and
+the module reads no F or F_hat: the paper's sums over F, and P_total's sum
+of Gaussian coefficients, are verify's references.
 """
 
 from __future__ import annotations
@@ -186,26 +188,25 @@ def _box_sum(ts, a: int, b: int) -> int:
 
 
 def P_total(n: int) -> int:
-    """The number of partitions of n + 1, from one pass of _gaussian.
+    """The number of partitions of n + 1: the partition classes of every
+    word of length n, summed over x and k.
 
     Summed over k, P(n, x, k) counts the partitions of x into at most
-    n - x + 1 parts, or by conjugation the partitions of x with parts at most
-    a = min(x, n + 1 - x) (Andrews, The Theory of Partitions, ch. 3).  With
-    m = n + 1 and the caps n + 1 - a, no multiplication by 1 - q^(m+a) fires,
-    so after step a the list holds the partitions into parts at most a:
-    coefficient x at step a, about n^2/4 additions and no cache.
+    n - x + 1 parts.  One more in each of those n - x + 1 parts, zeros
+    included, makes a partition of n + 1 into exactly n - x + 1 parts, so
+    over 0 <= x <= n these are every partition of n + 1 (Andrews, The
+    Theory of Partitions, ch. 1).  So P_total(n) = p(n + 1), read off the
+    pentagonal list in O(n^1.5) additions with no cache; 0 for n < 0.  The
+    sum of Gaussian coefficients is verify's independent reference for it.
     """
     require_ints(n)
-    passes = _gaussian(n + 1, range(n + 1, n - (n + 1) // 2, -1)) if n >= 0 else ()
-    # x = a and x = n + 1 - a read step a; a set counts the middle x of odd n once
-    return sum(coeffs[x] for a, coeffs in enumerate(passes) for x in {a, n + 1 - a} if x <= n)
+    return _partition_numbers(n + 1)[-1] if n >= 0 else 0
 
 
 def partition_function(m: int) -> int:
-    """Classical p(m) via Euler's pentagonal-number recurrence.
+    """Classical p(m) via Euler's pentagonal-number recurrence, 0 for m < 0.
 
-    Deliberately shares no code with P or _gaussian: it is the independent
-    cross-check for P_total(m - 1), which reads the Gaussian pass.
+    P_total(m - 1) and P_hat_total read the same list, _partition_numbers.
     """
     require_ints(m)
     return _partition_numbers(m)[-1] if m >= 0 else 0

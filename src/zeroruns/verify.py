@@ -8,7 +8,9 @@ it has run, with its status, flags and failures; the caller renders them.
 
 Where the paper writes a count as a sum over F, the sum is kept here as a
 reference (_run_avoiding_by_F, _zeros_by_F), and its check holds the public
-value, the reference and the oracle equal.
+value, the reference and the oracle equal.  P_total reads the pentagonal
+list, and its reference is the Gaussian pass (_P_total_by_gaussian), which
+shares no code with that list.
 """
 
 from __future__ import annotations
@@ -155,6 +157,22 @@ def _zeros_by_F(n: int, palindromic: bool) -> int:
     complement swaps each word's zeros and ones."""
     count = pal.F_hat if palindromic else rc.F
     return sum(x * count(n, x, k) for x in range(1, n + 1) for k in range(1, x + 1))
+
+
+def _P_total_by_gaussian(n: int) -> int:
+    """P_total(n), the number of partitions of n + 1, from one pass of
+    compositions._gaussian.
+
+    Summed over k, P(n, x, k) counts the partitions of x into at most
+    n - x + 1 parts, or by conjugation the partitions of x with parts at most
+    a = min(x, n + 1 - x) (Andrews, The Theory of Partitions, ch. 3).  With
+    m = n + 1 and the caps n + 1 - a, no multiplication by 1 - q^(m+a) fires,
+    so after step a the list holds the partitions into parts at most a:
+    coefficient x at step a, about n^2/4 additions and no cache.
+    """
+    passes = comp._gaussian(n + 1, range(n + 1, n - (n + 1) // 2, -1)) if n >= 0 else ()
+    # x = a and x = n + 1 - a read step a; a set counts the middle x of odd n once
+    return sum(coeffs[x] for a, coeffs in enumerate(passes) for x in {a, n + 1 - a} if x <= n)
 
 
 def _verify_runs(check: Check, max_n: int, cap: int | None) -> None:
@@ -353,17 +371,16 @@ def _verify_partitions(check: Check, max_n: int, cap: int | None) -> None:
         _cells(check, "P", comp.P, n, lambda x, k: table.get((x, k), 0))
         hat_table = oracle.oracle_partition_table(n, palindromic=True, cap=cap)
         _cells(check, "P_hat", comp.P_hat, n, lambda x, k: hat_table.get((x, k), 0))
-        check.expect(comp.P_total(n) == comp.partition_function(n + 1),
-                     f"P_total({n}) vs pentagonal p({n + 1})")
+        total, by_gaussian, classes = comp.P_total(n), _P_total_by_gaussian(n), sum(table.values())
+        check.expect(total == by_gaussian == classes,
+                     f"P_total({n}): pentagonal={total} gaussian={by_gaussian} oracle={classes}")
         check.expect(comp.P_hat_total(n) == sum(hat_table.values()),
                      f"P_hat_total({n}) vs oracle class total")
         support_size = len(rc.support_set(n))
         if n <= 5:
-            check.expect(support_size == comp.P_total(n),
-                         f"|S_{n}| == P_total({n})")
+            check.expect(support_size == total, f"|S_{n}| == P_total({n})")
         else:
-            check.expect(support_size < comp.P_total(n),
-                         f"|S_{n}| < P_total({n})")
+            check.expect(support_size < total, f"|S_{n}| < P_total({n})")
     for n in range(2, max_n + 1):
         for x in range(4, n + 1):
             if pal.F_hat(n, x, 2) == 0:

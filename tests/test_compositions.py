@@ -12,7 +12,7 @@ from zeroruns.palindromic import F_hat
 from zeroruns.runcount import F, support_contains, support_set
 from test_large_n import assert_sweep_is_bounded, count_builds
 from test_palindromic import F_hat_per_cell
-from zeroruns.verify import _zeros_by_F
+from zeroruns.verify import _P_total_by_gaussian, _zeros_by_F
 
 
 def enumerate_compositions(m, palindromic=False):
@@ -472,9 +472,29 @@ def test_P_total_equals_bounded_partition_sums():
         assert comp.P_total(n) == sum(box_partitions(x, n - x + 1, x) for x in range(n + 1)), n
 
 
-@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("n", [1000, 2000, 3000])
 def test_P_total_at_large_orders(n):
-    assert comp.P_total(n) == comp.partition_function(n + 1)
+    assert comp.P_total(n) == _P_total_by_gaussian(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 400))
+@example(-3)
+@example(-1)
+@example(0)
+@example(400)
+def test_P_total_equals_the_gaussian_reference(n):
+    assert comp.P_total(n) == _P_total_by_gaussian(n)
+
+
+def test_P_total_reads_no_gaussian_pass(monkeypatch):
+    # the pentagonal list answers it; the Gaussian pass is verify's reference
+    passes = []
+    gaussian = comp._gaussian
+    monkeypatch.setattr(comp, "_gaussian", lambda *args: passes.append(args) or gaussian(*args))
+    comp._P_rows.clear()
+    assert comp.P_total(300) == comp.partition_function(301)
+    assert passes == [] and len(comp._P_rows) == 0
 
 
 @pytest.mark.parametrize("n", [119, 120])
@@ -489,7 +509,7 @@ def test_every_P_cell_of_order_200_sums_to_P_total():
 
 
 def test_totals_at_large_n():
-    assert comp.P_total(300) == comp.partition_function(301)
+    assert comp.P_total(300) == _P_total_by_gaussian(300)
     for n in (300, 301):
         ceil_half = (n + 1) // 2
         want = sum(comp.partition_function(m) for m in range(ceil_half + 1))

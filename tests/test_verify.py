@@ -47,6 +47,18 @@ def test_composition_statistics_fail_on_a_wrong_value(monkeypatch, module, name,
         f"{what} m=5 pal={pal}" for pal in (False, True) for what in failing]
 
 
+@pytest.mark.parametrize("module, name, failing", [
+    # the support check at n <= 5 also reads P_total
+    (comp, "P_total", ["P_total(5)", "|S_5| == P_total(5)"]),
+    (verify, "_P_total_by_gaussian", ["P_total(5)"]),
+])
+def test_partition_total_fails_on_a_wrong_value(monkeypatch, module, name, failing):
+    monkeypatch.setattr(module, name, off_by_one(getattr(module, name), lambda n: n == 5))
+    check = run_check("compositions", "partition-classes")
+    assert check.status == "FAIL"
+    assert [message.split(":")[0] for message in check.failures] == failing
+
+
 @pytest.mark.parametrize("walk, palindromic", [
     (verify._verify_plain_oracle, False),
     (verify._verify_palindromic_oracle, True),
