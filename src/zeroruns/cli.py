@@ -161,10 +161,8 @@ def _cmd_partitions(args) -> int:
     if args.palindromic:
         result = {"total": comp.P_hat_total(args.n)}
     else:
-        result = {
-            "total": comp.P_total(args.n),
-            "partition_function": comp.partition_function(args.n + 1),
-        }
+        p = comp.partition_function(args.n + 1)  # = P_total(n) but at n = -1
+        result = {"total": p if args.n >= 0 else 0, "partition_function": p}
     _emit_fields(args, result, "recurrence")
     return 0
 

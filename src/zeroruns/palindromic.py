@@ -64,7 +64,10 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
     no correction has a term, and the centre alone is the cell.  At k = 1,
     G_1 telescopes to A_1(h, y) = C(m + 1, y), the y zeros in distinct gaps
     among m + 1: one binomial, where the corrections would step about y / 2
-    terms.  The arguments are not checked; an empty class gives 0.
+    terms.  So at k = 2, corrections(1) is that binomial less the terms
+    i = 0 of G_1, C(h + 1, m + 1) - C(h, m + 1) = C(h, y), and only
+    corrections(2) is stepped.  The arguments are not checked; an empty
+    class gives 0.
     """
     if not feasible(n, x, k) or x % 2 > n % 2:  # odd x, even n: no palindrome
         return 0
@@ -77,6 +80,8 @@ def _F_hat_cell(n: int, x: int, k: int) -> int:
         return math.comb(h - y + 1, y)
 
     def corrections(k: int) -> int:
+        if k == 1:
+            return math.comb(h - y + 1, y) - math.comb(h, y)
         a = (k - n % 2) // 2 + 1
         return _bounded(h + 1, y, k, 0, True) - _bounded(h + 1 - a, y - a, k, 0, True)
 

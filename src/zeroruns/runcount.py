@@ -300,7 +300,8 @@ def _F_cell(n: int, x: int, k: int) -> int:
     """F(n, x, k) alone, for a feasible class with k >= 1: C(m + 1, x) at
     k = 1, the x zeros in distinct gaps among m + 1 = n - x + 1, and
     (m + 1) C(n - k - 1, x - k) for k > x // 2 (F_closed_high_k), one
-    binomial each, and between them A_k - A_(k-1), both stepped by _bounded.
+    binomial each, and between them A_k - A_(k-1), each stepped by _bounded
+    but A_1 at k = 2, the same binomial.
     F answers its cells past the dot side here, and palindromic._F_hat_cell
     those of a central one.  The arguments are not checked.
     """
@@ -310,7 +311,8 @@ def _F_cell(n: int, x: int, k: int) -> int:
     if k > x // 2:
         return (m + 1) * math.comb(n - k - 1, x - k) if m else 1
     whole = math.comb(n, x)
-    return _bounded(n, x, k, whole) - _bounded(n, x, k - 1, whole)
+    below = math.comb(m + 1, x) if k == 2 else _bounded(n, x, k - 1, whole)
+    return _bounded(n, x, k, whole) - below
 
 
 _F_rows = _Rows(_F_row, _dot_side, _F_cell)

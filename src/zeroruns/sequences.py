@@ -212,25 +212,23 @@ def _palindromic_bounded_run_terms(k: int, ns: range) -> list[int]:
 
     With n <= k every palindrome counts.  Otherwise each reads A 1 reverse(A)
     (odd n) or A 1 0^c 1 reverse(A) with c = n (mod 2) and c <= k, and its
-    half A is any word of its length with runs at most k.  This is the centre
-    split of the palindromic module without the zero count: there the
-    centres of one row x give G_k, its palindromes with runs at most k, by
-    binomial dot products, and this term is the sum of G_k over all x, by
-    the run-avoiding recurrence.  One pass of B_k (_run_terms) to
-    length max(ns) // 2 gives every term; the window holds the half lengths
-    one term needs.
+    half A, of length n // 2 or n // 2 - 1 - c // 2, is any word of its
+    length with runs at most k.  This is the centre split of the palindromic
+    module without the zero count: there the centres of one row x give G_k,
+    its palindromes with runs at most k, by binomial dot products, and this
+    term is the sum of G_k over all x, by the run-avoiding recurrence.  One
+    range of B_k from _run_terms, from the shortest half any term reads to
+    the longest, gives every term by index, so a far range jumps where T
+    does.
     """
     terms = [1 << ((n + 1) // 2) for n in range(ns.start, min(ns.stop, k + 1))]
     rest = range(max(ns.start, k + 1), ns.stop)
     if not rest:
         return terms
-    half = deque(maxlen=k // 2 + 2)
-    for h, b in enumerate(_run_terms(k + 1, 1, range(rest[-1] // 2 + 1))):
-        half.append(b)
-        # the half of A 1 0^c 1 reverse(A) has length n // 2 - 1 - c // 2
-        terms.extend(n % 2 * b + sum(half[-2 - c // 2] for c in range(n % 2, k + 1, 2))
-                     for n in (2 * h, 2 * h + 1) if n in rest)
-    return terms
+    low = max(0, rest[0] // 2 - 1 - k // 2)
+    b = list(_run_terms(k + 1, 1, range(low, rest[-1] // 2 + 1)))
+    return terms + [n % 2 * b[n // 2 - low] + sum(b[n // 2 - 1 - c // 2 - low]
+                                                  for c in range(n % 2, k + 1, 2)) for n in rest]
 
 
 def _bounded_run_terms(k: int, ns: range) -> list[int]:

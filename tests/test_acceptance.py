@@ -18,7 +18,7 @@ from zeroruns import (
     runcount as rc,
     sequences as seq,
 )
-from zeroruns.verify import _run_avoiding_by_F, _zeros_by_F
+from zeroruns.verify import _P_total_by_gaussian, _run_avoiding_by_F, _zeros_by_F
 
 S5 = {
     (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
@@ -301,7 +301,7 @@ def test_c6_distributions_match_enumeration(m):
 @pytest.mark.criterion("C6 composition layer")
 @pytest.mark.parametrize("n", range(0, 15))
 def test_c6_partition_totals(n):
-    assert comp.P_total(n) == comp.partition_function(n + 1)
+    assert comp.P_total(n) == comp.partition_function(n + 1) == _P_total_by_gaussian(n)
     size = len(rc.support_set(n))
     if n <= 5:
         assert size == comp.P_total(n)

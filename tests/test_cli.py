@@ -178,6 +178,15 @@ def test_partitions_totals(capsys):
     assert result == {"partition_function": 15, "total": 15}
 
 
+@pytest.mark.parametrize("n, want", [(-2, (0, 0)), (-1, (1, 0)), (0, (1, 1))])
+def test_partitions_totals_at_the_empty_orders(capsys, n, want):
+    # one pentagonal value feeds both fields, which part only at n = -1:
+    # p(0) = 1, but no word of length -1 has a class
+    code, out, _ = run(capsys, "partitions", str(n), "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["partition_function"], result["total"]) == want
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "count", "F", "6", "3")[0] == 2
     assert run(capsys, "count", "G", "6", "3", "2")[0] == 2

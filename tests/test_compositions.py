@@ -445,7 +445,7 @@ def test_partition_function():
 
 @pytest.mark.parametrize("n", range(0, 15))
 def test_P_total_equals_partition_function(n):
-    assert comp.P_total(n) == comp.partition_function(n + 1)
+    assert comp.P_total(n) == comp.partition_function(n + 1) == _P_total_by_gaussian(n)
 
 
 def test_P_total_example():
@@ -514,6 +514,7 @@ def test_totals_at_large_n():
         ceil_half = (n + 1) // 2
         want = sum(comp.partition_function(m) for m in range(ceil_half + 1))
         assert comp.P_hat_total(n) == want, n
+        assert want == 1 + sum(_P_total_by_gaussian(h) for h in range(ceil_half)), n
 
 
 def test_P_hat_total_leaves_the_gaussian_kernel_cold():

@@ -258,12 +258,13 @@ def test_cells_past_half_the_zeros_equal_the_closed_form():
 @example((10**5, 10**5))
 @example((10**5, 10**5 - 1))
 def test_stepped_cells_from_closed_forms_equal_stepping(row):
-    # past the dot side, F answers k = 1 and k > x // 2 with one binomial;
-    # _bounded steps both A_k and A_(k-1) there and at k = x // 2
+    # past the dot side, F answers k = 1 and k > x // 2 with one binomial
+    # and reads A_1 in closed form at k = 2; _bounded steps both A_k and
+    # A_(k-1) there and at k = x // 2
     n, x = row
     assert not rc._dot_side(n, x)
     whole = math.comb(n, x)
-    for k in {1, x // 2, x // 2 + 1, x}:
+    for k in {1, 2, x // 2, x // 2 + 1, x}:
         stepped = (rc._bounded(n, x, k, whole) - rc._bounded(n, x, k - 1, whole)
                    if rc.feasible(n, x, k) else 0)
         assert rc.F(n, x, k) == stepped, (n, x, k)
@@ -396,6 +397,7 @@ PAST_THE_GATE = st.integers(9000, 30000).flatmap(lambda n: st.tuples(
 @settings(max_examples=12, deadline=None)
 @given(PAST_THE_GATE)
 @example((9000, 4500, 1))
+@example((9000, 4500, 2))
 @example((9001, 4499, 2))
 @example((9001, 4500, 3))
 def test_stepped_palindromic_cells_equal_per_centre_sums(cell):
@@ -409,8 +411,9 @@ def test_stepped_palindromic_cells_equal_per_centre_sums(cell):
 def test_stepped_palindromic_cells_at_mid_k_equal_their_row():
     row = pal._F_hat_row(12000, 6000)
     # y = 3000: the corrections of k = 3000 are 0, those of k - 1 one term;
-    # past y only the central block 0^k is left, for even k
-    for k in (1500, 2000, 2999, 3000, 3001, 5999, 6000):
+    # past y only the central block 0^k is left, for even k; k = 2 reads
+    # G_1 in closed form
+    for k in (2, 3, 1500, 2000, 2999, 3000, 3001, 5999, 6000):
         assert pal._F_hat_cell(12000, 6000, k) == row[k], k
 
 

@@ -323,6 +323,42 @@ def test_column_sum_ranges_equal_per_term_calls(k):
     assert hat == [palindromic_column_sum_by_F_hat(n, k) for n in range(-2, 58)]
 
 
+def palindromic_bounded_runs_by_centre(k, ns):
+    """The palindromes of each length in ns with zero-runs at most k, by the
+    centre split over bounded_runs_by_leading_block at half length."""
+    b = bounded_runs_by_leading_block(k, ns[-1] // 2 + 1)
+    return [1 << (n + 1) // 2 if n <= k else
+            n % 2 * b[n // 2] + sum(b[n // 2 - 1 - c // 2] for c in range(n % 2, k + 1, 2))
+            for n in ns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 3000), st.integers(1, 40))
+@example(1, 300, 40)
+@example(3, 700, 40)
+@example(5, 1500, 40)
+def test_palindromic_bounded_run_ranges_equal_centre_split(k, start, count):
+    ns = range(start, start + count)
+    assert seq._palindromic_bounded_run_terms(k, ns) == palindromic_bounded_runs_by_centre(k, ns)
+
+
+def test_palindromic_column_sum_jumps_to_its_half_lengths():
+    # B_3 and B_2 are each read from the shortest half length n // 2 - 2
+    # that the centres 0^c, c <= 3, leave, both far enough to jump
+    with jumps_recorded() as jumps:
+        got = seq.palindromic_column_sum(4000, 3)
+    assert jumps == [1998, 1998]
+    b_3, b_2 = (palindromic_bounded_runs_by_centre(k, [4000])[0] for k in (3, 2))
+    assert got == b_3 - b_2
+
+
+@pytest.mark.parametrize("n", [10**5, 10**5 + 1])
+def test_palindromic_column_sum_fibonacci_identity_at_large_n(n):
+    # verify's identity: fib_f steps its own loop, independent of _run_terms
+    fib = seq.fib_f((n + 1) // 2) if n % 2 else seq.fib_f(n // 2 - 1)
+    assert seq.palindromic_column_sum(n, 1) == fib - 1
+
+
 def test_column_sum_at_large_n():
     assert seq.column_sum(3000, 5) == seq.T(6, 3000) - seq.T(5, 3000)
 
